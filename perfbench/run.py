@@ -16,7 +16,8 @@ Every run alternates two kinds of step over the ``--seconds`` window:
 * a serve session over three small graphs, the same in every workload:
   snapshot build from an empty store, first densest answers, alpha /
   top-k / profile queries, restarts from the SQLite store, then a share
-  of a closed-loop stream of warm requests.
+  of a closed-loop stream of warm requests.  Untimed, each session also
+  checks CoreApp and PeelApp answers on those graphs.
 
 Every workload reports every end-to-end metric; on the serve workload the
 solve pass is the cold core-exact solve of the serve graphs.  ``--trace 0``
@@ -103,6 +104,7 @@ class Run:
         self.alphas: list[list[float]] = []
         self.alpha_answers: list[dict] = []  # first session's α answers
         self.requests: list[tuple[int, list]] = []
+        self.serve_kmax: list[int] = []
 
     # --- bookkeeping ----------------------------------------------------
 
@@ -150,6 +152,7 @@ class Run:
         different one of them than Exact does.)
         """
         from repro import api
+        from repro.core.clique_core import clique_core_decomposition
 
         rng = random.Random(self.seed)
         self.cold = []
@@ -166,6 +169,8 @@ class Run:
             top = ref.density * 1.05
             self.alphas.append(sorted(rng.uniform(0.0, top) for _ in range(ALPHAS_PER_GRAPH)))
         self.requests = self.warm_requests()
+        self.serve_kmax = [clique_core_decomposition(graph, cell.h).kmax
+                           for cell, graph in zip(self.serve_cells, self.serve_graphs)]
         # the inputs live for the whole run: keep them out of every
         # garbage collection the timed regions would otherwise pay for
         gc.collect()
@@ -273,6 +278,7 @@ class Run:
             out["gets"].append(cache.stats())
             store.close()
             self.check_cold(index, densest, alpha_answers, tops)
+            self.check_approximations()
 
             for restart in range(RESTARTS):
                 t0 = time.perf_counter()
@@ -338,6 +344,25 @@ class Run:
                             "top-k does not lead with the densest subgraph", f"{name} top-k")
             self.record(repr(profile) if isinstance(profile, Exception) else None,
                         f"{name} profile")
+
+    def check_approximations(self) -> None:
+        """CoreApp and PeelApp on the serve graphs, checked against Theorem 1.
+
+        Untimed in every run; it also gives the traced run's k-core and
+        peel layers work on every workload.
+        """
+        import checks
+        from repro import api
+
+        for i, (cell, graph) in enumerate(zip(self.serve_cells, self.serve_graphs)):
+            for method in ("core-app", "peel"):
+                try:
+                    answer = api.densest_subgraph(graph, cell.h, method=method)
+                except Exception as exc:  # counted as a failed operation
+                    self.record(repr(exc), f"serve.{cell.name} {method}")
+                    continue
+                self.record(checks.check_approx(graph, cell.h, answer, self.serve_kmax[i]),
+                            f"serve.{cell.name} {method}")
 
     def check_reload(self, reloaded: list) -> None:
         for i, cell in enumerate(self.serve_cells):
@@ -522,12 +547,12 @@ def measure_layers(run: Run) -> dict:
     traced: list[float] = []
     pass_layers: list[dict] = []
 
-    def plain_step(_):
+    def plain_pass():
         times, answers = run.solve_pass()
         plain.append(sum(times))
         run.check_pass(answers)
 
-    def traced_step(_):
+    def traced_pass():
         trace.install()
         try:
             times, answers = run.solve_pass()
@@ -538,6 +563,13 @@ def measure_layers(run: Run) -> dict:
         for cell, first, answer in zip(run.cells, run.first_pass, answers):
             ok = not isinstance(answer, Exception) and same_answer(first, answer)
             run.record(None if ok else "traced answer differs from untraced", cell.name)
+
+    def pair_step(i):
+        # alternate which pass runs first: the second finds the graphs
+        # already in cache, which would otherwise bias trace.overhead
+        first, second = (plain_pass, traced_pass) if i % 2 == 0 else (traced_pass, plain_pass)
+        first()
+        second()
 
     session_layers: list[dict] = []
 
@@ -553,8 +585,7 @@ def measure_layers(run: Run) -> dict:
         layers["serve.store_bytes"] = session["store_bytes"]
         session_layers.append(layers)
 
-    interleave(run.seconds, (MIN_PASSES, plain_step), (MIN_PASSES, traced_step),
-               (MIN_SESSIONS, serve_step))
+    interleave(run.seconds, (MIN_PASSES, pair_step), (MIN_SESSIONS, serve_step))
     run.check_first_pass()
     gc.unfreeze()
 

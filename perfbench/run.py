@@ -19,11 +19,10 @@ Every run alternates two kinds of step over the ``--seconds`` window:
   of a closed-loop stream of warm requests.  Untimed, each session also
   checks CoreApp and PeelApp answers on those graphs.
 
-Every workload reports every end-to-end metric; on the serve workload the
-solve pass is the cold core-exact solve of the serve graphs.  ``--trace 0``
-reports the end-to-end metrics; ``--trace 1`` alternates untraced passes,
-traced passes and traced sessions and reports the per-layer metrics of
-``perfbench/layers.py``.
+Every workload reports every end-to-end metric.  ``--trace 0`` reports
+the end-to-end metrics, timed in CPU seconds of this process; ``--trace 1``
+alternates untraced passes, traced passes and traced sessions and reports
+the per-layer metrics of ``perfbench/layers.py``.
 """
 
 from __future__ import annotations
@@ -66,6 +65,14 @@ END_TO_END = {
     "serve.query_p99_ms": "ms",
     "serve.reload_s": "s",
 }
+
+#: Timed regions read the process's CPU time, not wall time.  It leaves
+#: out the time the process waits for a CPU, be it for other processes or
+#: because a shared host's hypervisor holds the virtual CPU (steal time).
+#: On a shared 2-vCPU host those waits doubled the run-to-run spread of
+#: wall times.  The process runs the program in one thread, so its CPU
+#: time is the time the program computes; waits on I/O are not in it.
+cpu_seconds = time.process_time
 
 #: Set-up runs at least SETUP_REPS times, and while under SETUP_SECONDS
 #: up to SETUP_MAX_REPS times.
@@ -133,13 +140,10 @@ class Run:
         ):
             self.graphs = self.serve_graphs = []  # one set of graphs alive at a time
             gc.collect()
-            t0 = time.perf_counter()
+            t0 = cpu_seconds()
             self.graphs = build_graphs(self.cells, self.seed)
-            if self.serve_cells is self.cells:
-                self.serve_graphs = self.graphs
-            else:
-                self.serve_graphs = build_graphs(self.serve_cells, self.seed)
-            times.append(time.perf_counter() - t0)
+            self.serve_graphs = build_graphs(self.serve_cells, self.seed)
+            times.append(cpu_seconds() - t0)
         return times
 
     def prepare(self) -> None:
@@ -185,12 +189,12 @@ class Run:
         times = []
         answers = []
         for cell, graph in zip(self.cells, self.graphs):
-            t0 = time.perf_counter()
+            t0 = cpu_seconds()
             try:
                 answer = api.densest_subgraph(graph, cell.h, method=cell.method)
             except Exception as exc:  # an operation that raised is counted, not fatal
                 answer = exc
-            times.append(time.perf_counter() - t0)
+            times.append(cpu_seconds() - t0)
             answers.append(answer)
         return times, answers
 
@@ -261,10 +265,10 @@ class Run:
         try:
             store = serve.SnapshotStore(root)
             cache = serve.ArtifactCache(store=store)
-            t0 = time.perf_counter()
+            t0 = cpu_seconds()
             densest = [self.serve_call(lambda: serve.batch_densest(graph, cell.h, cache=cache))
                        for cell, graph in pairs]
-            out["densest_ready"] = time.perf_counter() - t0
+            out["densest_ready"] = cpu_seconds() - t0
             alpha_answers = []
             tops = []
             for i, (cell, graph) in enumerate(pairs):
@@ -273,7 +277,7 @@ class Run:
                 snap = serve.get_snapshot(graph, cell.h, cache=cache)
                 tops.append(self.serve_call(lambda: snap.top_k(5)))
                 tops.append(self.serve_call(snap.density_profile))
-            out["profile_ready"] = time.perf_counter() - t0
+            out["profile_ready"] = cpu_seconds() - t0
             out["store_bytes"] = store.stats()["bytes"]
             out["gets"].append(cache.stats())
             store.close()
@@ -281,7 +285,7 @@ class Run:
             self.check_approximations()
 
             for restart in range(RESTARTS):
-                t0 = time.perf_counter()
+                t0 = cpu_seconds()
                 store = serve.SnapshotStore(root)
                 cache = serve.ArtifactCache(store=store)
                 reloaded = [
@@ -289,7 +293,7 @@ class Run:
                         graph, cell.h, [None] + self.alphas[i], cache=cache))
                     for i, (cell, graph) in enumerate(pairs)
                 ]
-                out["reload"].append(time.perf_counter() - t0)
+                out["reload"].append(cpu_seconds() - t0)
                 self.check_reload(reloaded)
                 if restart < RESTARTS - 1:
                     out["gets"].append(cache.stats())
@@ -426,12 +430,12 @@ class Run:
             graph, h = self.serve_graphs[gi], self.serve_cells[gi].h
             fastest = float("inf")
             for _ in range(WARM_SENDS):
-                t0 = time.perf_counter()
+                t0 = cpu_seconds()
                 try:
                     answers = serve.batch_densest(graph, h, queries, cache=cache)
                 except Exception as exc:  # counted as a failed request below
                     answers = exc
-                fastest = min(fastest, time.perf_counter() - t0)
+                fastest = min(fastest, cpu_seconds() - t0)
                 outcomes.append((gi, queries, answers))
             latencies.append(fastest)
         for gi, queries, answers in outcomes:
@@ -538,7 +542,7 @@ def measure_layers(run: Run) -> dict:
 
     cold_times = []  # cold core-exact solves of the serve graphs, untraced
     for _ in range(3):
-        t0 = time.perf_counter()
+        t0 = time.perf_counter()  # wall time, as the layer times it is compared with
         for cell, graph in zip(run.serve_cells, run.serve_graphs):
             api.densest_subgraph(graph, cell.h, method="core-exact")
         cold_times.append(time.perf_counter() - t0)
@@ -675,6 +679,9 @@ def main(argv=None) -> int:
     if from_env:
         print(f"refusing to measure: {', '.join(from_env)} set", file=sys.stderr)
         return 2
+    # one thread, so that an idle numpy BLAS pool adds no CPU time
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
     problem = load_program()
     if problem is not None:
         print(f"cannot run: {problem}", file=sys.stderr)

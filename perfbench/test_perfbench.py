@@ -147,6 +147,6 @@ def test_independent_counts_match_brute_force():
 
 def test_refuses_to_measure_under_program_knobs(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CHECK", "1")
-    code = bench.main(["--workload", "serve", "--seed", "1", "--seconds", "1"])
+    code = bench.main(["--workload", "clique-exact", "--seed", "1", "--seconds", "1"])
     assert code == 2
     assert capsys.readouterr().out == ""

@@ -1,4 +1,4 @@
-"""The benchmark's seeded inputs: four workloads of solve cells and serve graphs.
+"""The benchmark's seeded inputs: three workloads of solve cells, and serve graphs.
 
 Graphs come from the :mod:`repro.graph.generators` families with the
 parameters of :mod:`repro.datasets.registry`, its fixed seeds included,
@@ -99,16 +99,14 @@ CELLS: dict[str, tuple[Cell, ...]] = {
     ),
 }
 
-#: The serve session's graphs, shared by every workload (see run.py).
+#: The serve session's graphs, shared by every workload (see run.py).  Every
+#: workload runs the serve session on them, so none is needed for it alone.
 SERVE_GRAPHS: tuple[Cell, ...] = (
     Cell("rmat", lambda: generators.rmat(_n(2_000), _n(13_000), seed=43), 2, "core-exact"),
     Cell("power-law", lambda: power_law(_n(1_500), 2.2, 4.3, 13), 2, "core-exact"),
     Cell("collab", lambda: collab(_n(1_600), 2, max(4, int(18 * SCALE**0.5)), 12), 3,
          "core-exact"),
 )
-
-#: The serve workload's solve pass is the cold core-exact solve of its graphs.
-CELLS["serve"] = SERVE_GRAPHS
 
 WORKLOADS = tuple(CELLS)
 

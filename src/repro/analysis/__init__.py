@@ -29,11 +29,6 @@ Rules (each documented in its module):
 ``env-discipline``
     :mod:`repro.analysis.envrule` -- ``os.environ`` is read only inside
     :mod:`repro.env`.
-``par-safety``
-    :mod:`repro.analysis.parrule` -- functions handed to the worker
-    pool are module-level importable, ``repro/par/`` rebinds module
-    globals only inside the registered worker-init path, and reads the
-    environment through the registry.
 
 False positives are silenced inline with a reasoned suppression::
 
@@ -49,6 +44,6 @@ from __future__ import annotations
 from .core import RULES, Finding, Project, run_paths
 
 # importing the rule modules registers them in RULES
-from . import coverage, determinism, envrule, jit, parity, parrule  # noqa: F401, E402
+from . import coverage, determinism, envrule, jit, parity  # noqa: F401, E402
 
 __all__ = ["RULES", "Finding", "Project", "run_paths"]

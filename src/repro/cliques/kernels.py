@@ -212,72 +212,6 @@ def edge_rows(n: int, id_edges: Sequence[tuple[int, int]]):
     return _edge_rows_from_csr(n, dptr, ddst)
 
 
-def rows_for_range(n: int, h: int, lo: int, hi: int, dptr, ddst, keys):
-    """The canonical h-clique rows whose first vertex lies in ``[lo, hi)``.
-
-    The rows of the full enumeration are lexicographic, so the rows
-    owned by a vertex range are a contiguous slice of the serial
-    output; concatenating the per-range arrays in range order
-    reproduces the whole array exactly.  ``dptr``/``ddst``/``keys`` are
-    the :func:`_upward_csr` arrays (typically read-only shared-memory
-    views in a worker process).
-    """
-    member = _edge_membership(n, keys)
-    counts = np.diff(dptr[lo : hi + 1])
-    src = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-    dst = np.asarray(ddst[int(dptr[lo]) : int(dptr[hi])], dtype=np.int64)
-    rows = np.stack([src, dst], axis=1)
-    if h == 2:
-        return rows
-    rows = _extend_rows(rows, dptr, ddst, member, n, depth=1)
-    if h == 3:
-        return rows
-    return _extend_rows(rows, dptr, ddst, member, n, depth=2)
-
-
-def _range_bounds(dptr, n: int, nworkers: int) -> list[tuple[int, int]]:
-    """Split ``[0, n)`` into up to ``nworkers`` ranges balanced by edge count."""
-    total = int(dptr[-1])
-    bounds: list[tuple[int, int]] = []
-    lo = 0
-    for k in range(1, nworkers + 1):
-        if k < nworkers:
-            hi = int(np.searchsorted(dptr, total * k // nworkers, side="left"))
-            hi = min(max(hi, lo), n)
-        else:
-            hi = n
-        if hi > lo:
-            bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def _parallel_rows(n: int, h: int, id_edges, workers: Optional[int]):
-    """Fan the h=3/4 wedge expansion over vertex ranges; None = stay serial."""
-    from .. import par
-    from ..par.worker import clique_range
-
-    nworkers = par.resolve_workers(workers)
-    if nworkers <= 1 or len(id_edges[0]) < par.PAR_MIN_EDGES or n < 2:
-        return None
-    dptr, ddst, keys = _upward_csr(n, id_edges)
-    bounds = _range_bounds(dptr, n, nworkers)
-    if len(bounds) <= 1:
-        return None
-    payloads = [{"n": n, "h": h, "lo": lo, "hi": hi} for lo, hi in bounds]
-    outcomes = par.map_components(
-        clique_range,
-        payloads,
-        workers=nworkers,
-        shared={"dptr": dptr, "ddst": ddst, "keys": keys},
-        surface="cliques.rows",
-    )
-    if any(o["status"] != "ok" for o in outcomes):  # pragma: no cover
-        return None
-    flat = np.frombuffer(b"".join(o["result"] for o in outcomes), dtype=np.int64)
-    return flat.tolist()
-
-
 def _rows_python(graph: Graph, h: int, id_of: dict) -> list[int]:
     """Reference fallback: enumerate, map to ids, canonicalise.
 
@@ -300,7 +234,6 @@ def clique_rows(
     h: int,
     id_of: dict,
     use_numpy: Optional[bool] = None,
-    workers: Optional[int] = None,
 ) -> list[int]:
     """Canonical flat instance-row list for the h-cliques of ``graph``.
 
@@ -314,12 +247,6 @@ def clique_rows(
         Force the kernel choice (used by the equivalence tests and the
         enumeration-split bench); ``None`` auto-selects the numpy
         kernels for h in {2, 3, 4} when numpy is importable.
-    workers:
-        Worker processes for the h = 3/4 wedge expansion (``None``
-        defers to ``REPRO_WORKERS``); engages only above
-        :data:`repro.par.PAR_MIN_EDGES` edges and produces the same
-        flat list bit for bit (vertex ranges own contiguous row
-        slices, concatenated in order).
 
     Returns the flat list of length ``m_Ψ · h``: row ``i`` occupies
     ``[i*h, (i+1)*h)``, ascending within the row, rows lexicographic.
@@ -334,10 +261,6 @@ def clique_rows(
         LAST_KERNEL = "numpy"
         n = len(id_of)
         id_edges = _id_edges(graph, id_of)
-        if h in (3, 4):
-            par_flat = _parallel_rows(n, h, id_edges, workers)
-            if par_flat is not None:
-                return par_flat
         if h == 2:
             rows = edge_rows(n, id_edges)
         elif h == 3:

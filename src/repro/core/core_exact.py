@@ -204,9 +204,7 @@ def solve_component_state(
 ) -> dict:
     """One component of the CoreExact search, started at lower bound ``low``.
 
-    The extracted body of the serial component loop, shared verbatim by
-    the parent process and the parallel workers
-    (:func:`repro.par.worker.solve_component`).  ``core_of`` maps
+    The body of the serial component loop.  ``core_of`` maps
     vertex label to clique-core number (the mid-search shrinks read
     it); ``n`` is the whole graph's vertex count (the pruning3-off
     binary resolution).
@@ -290,61 +288,6 @@ def solve_component_state(
             "solves": solves, "network_sizes": sizes, "final_low": low}
 
 
-def _component_payloads(
-    states: list[_ComponentState],
-    *,
-    h: int,
-    flow_engine: str,
-    low: float,
-    kmax: int,
-    k_locate: int,
-    core_of: dict,
-    pruning3: bool,
-    n: int,
-) -> tuple[list[dict], dict]:
-    """(payloads, shared arrays) for the worker-side component rebuilds.
-
-    Labels travel in the payload in graph-iteration order (the worker
-    re-inserts them in that order, so its internal id space matches the
-    parent's); edges, clique rows and core numbers travel as flat int64
-    arrays through the shared-memory arena.
-    """
-    from ..cliques import kernels
-
-    np = kernels.np
-    shared: dict = {}
-    payloads: list[dict] = []
-    for cid, state in enumerate(states):
-        labels = list(state.graph)
-        id_of = {v: i for i, v in enumerate(labels)}
-        esrc: list[int] = []
-        edst: list[int] = []
-        for u in state.graph:
-            iu = id_of[u]
-            for v in state.graph.neighbors(u):
-                iv = id_of[v]
-                if iu < iv:
-                    esrc.append(iu)
-                    edst.append(iv)
-        fields: dict = {
-            f"c{cid}.esrc": esrc,
-            f"c{cid}.edst": edst,
-            f"c{cid}.core": [core_of.get(v, 0) for v in labels],
-        }
-        if state.index is not None:
-            fields[f"c{cid}.rows"] = state.index.inst
-        for key, val in fields.items():
-            shared[key] = np.asarray(val, dtype=np.int64) if np is not None else list(val)
-        payloads.append(
-            {
-                "cid": cid, "labels": labels, "h": h, "flow_engine": flow_engine,
-                "low": low, "kmax": kmax, "k_locate": k_locate,
-                "pruning3": pruning3, "n": n,
-            }
-        )
-    return payloads, shared
-
-
 def core_exact_densest(
     graph: Graph,
     h: int = 2,
@@ -355,7 +298,6 @@ def core_exact_densest(
     decomposition: Optional[CliqueCoreResult] = None,
     flow_engine: str = "ggt",
     index: Optional[CliqueIndex] = None,
-    workers: Optional[int] = None,
 ) -> DensestSubgraphResult:
     """CoreExact: exact CDS with core-based pruning.
 
@@ -494,92 +436,21 @@ def core_exact_densest(
                 found = density_cache[key] = _subgraph_density(graph, vertices, h, index)
             return found
 
-        def merge_component(cut: Optional[set[Vertex]], rho: float) -> None:
-            """Fold one component's answer into the running candidate."""
-            nonlocal candidate
-            if not cut:
-                return
-            density_cache.setdefault(frozenset(cut), rho)
-            if candidate is None or cached_density(cut) > cached_density(candidate):
-                candidate = cut
-
-        ordered = sorted(comp_states, key=lambda s: -s.num_vertices)
-        par_workers = 1
-        if len(ordered) > 1:
-            from .. import par
-
-            par_workers = par.resolve_workers(workers)
-
         try:
-            if par_workers > 1:
-                # Fan the components out.  Every worker starts from the
-                # pre-loop lower bound instead of the serially raised one
-                # -- merely a less aggressive shrink (Lemma 7), same
-                # answers -- and the merge below replays the serial
-                # loop's decisions in the serial order, so the result is
-                # bit-identical (see docs/par.md for the argument).
-                from .. import par
-                from ..par import worker as par_worker
-
-                payloads, shared = _component_payloads(
-                    ordered, h=h, flow_engine=flow_engine, low=low, kmax=kmax,
-                    k_locate=k_locate, core_of=decomposition.core,
-                    pruning3=pruning3, n=n,
+            for comp_state in sorted(comp_states, key=lambda s: -s.num_vertices):
+                out = solve_component_state(
+                    comp_state, low=low, kmax=kmax, k_locate=k_locate,
+                    core_of=decomposition.core, pruning3=pruning3, n=n,
                 )
-                outcomes = par.map_components(
-                    par_worker.solve_component, payloads, workers=par_workers,
-                    shared=shared, surface="core_exact.components",
-                )
-                expiry: Optional[tuple[str, str]] = None
-                exc_cut: Optional[set[Vertex]] = None
-                exc_rho = 0.0
-                for outcome in outcomes:
-                    if outcome["status"] != "ok":
-                        # a worker's budget expired mid-component: note the
-                        # first expiry site and keep the densest incumbent
-                        info = outcome.get("degraded") or {}
-                        if expiry is None:
-                            expiry = (
-                                info.get("site") or "core_exact.flow",
-                                info.get("reason") or "worker budget expired",
-                            )
-                        inc = info.get("incumbent")
-                        rho_inc = info.get("density") or 0.0
-                        if inc and (exc_cut is None or rho_inc > exc_rho):
-                            exc_cut, exc_rho = set(inc), rho_inc
-                        continue
-                    out = outcome["result"]
-                    iterations += out["solves"]
-                    network_sizes.extend(out["network_sizes"])
-                    if out["cut"] is None:
-                        continue
-                    rho = out["rho"]
-                    # Replay the serial probe at the running lower bound:
-                    # the component is included exactly when its optimal
-                    # density beats every earlier (larger) component --
-                    # the same strict comparison the serial loop makes.
-                    if rho <= low:
-                        continue
-                    low = rho
-                    merge_component(set(out["cut"]), rho)
-                if expiry is not None and guard.ACTIVE is not None:
-                    # re-raise in the parent so the degradation path below
-                    # (and api-level fallbacks) see one canonical expiry
-                    guard.ACTIVE.adopt_expiry(expiry[0], expiry[1])
-                    exc = guard.BudgetExceeded(expiry[0], expiry[1], guard.ACTIVE)
-                    exc.attach_incumbent(exc_cut, exc_rho)
-                    raise exc
-            else:
-                for comp_state in ordered:
-                    out = solve_component_state(
-                        comp_state, low=low, kmax=kmax, k_locate=k_locate,
-                        core_of=decomposition.core, pruning3=pruning3, n=n,
-                    )
-                    iterations += out["solves"]
-                    network_sizes.extend(out["network_sizes"])
-                    if out["final_low"] > low:
-                        low = out["final_low"]
-                    merge_component(out["cut"], out["rho"])
+                iterations += out["solves"]
+                network_sizes.extend(out["network_sizes"])
+                if out["final_low"] > low:
+                    low = out["final_low"]
+                cut = out["cut"]
+                if cut:
+                    density_cache.setdefault(frozenset(cut), out["rho"])
+                    if candidate is None or cached_density(cut) > cached_density(candidate):
+                        candidate = cut
         except guard.BudgetExceeded as exc:
             # degrade: keep the densest incumbent seen anywhere -- the
             # pruned-core seeds (best_vertices) are always available, and

@@ -102,14 +102,6 @@ REGISTRY: dict[str, EnvVar] = {
             "each named kernel raise, exercising the failover chains.",
         ),
         _var(
-            "REPRO_WORKERS", "number", 0,
-            "Default worker-process count for the parallel execution layer "
-            "(``repro.par``): component solves and the h=3/4 clique "
-            "enumeration fan out across this many forked workers.  0 or 1 "
-            "means serial; an explicit ``workers=`` argument wins over the "
-            "variable.",
-        ),
-        _var(
             "REPRO_SNAPSHOT_DIR", "text", "",
             "Directory of the default snapshot store (``repro.serve``): "
             "precomputed query artifacts persist to "

@@ -29,23 +29,16 @@ def run_exact(
     names: list[str] | None = None,
     h_values: tuple[int, ...] = SMALL_H_VALUES,
     scale: float = 1.0,
-    workers: int | None = None,
 ) -> list[dict]:
-    """Figure 8(a)-(e): Exact vs CoreExact running times.
-
-    ``workers`` threads through to both solvers (``None`` defers to
-    ``REPRO_WORKERS``); the timings are genuine wall clock
-    (:func:`~repro.experiments.harness.timed`), not trace-derived work
-    sums, so parallel cells report elapsed time.
-    """
+    """Figure 8(a)-(e): Exact vs CoreExact running times."""
     if names is None:
         names = dataset_names("small")
     rows = []
     for name in names:
         graph = load(name, scale)
         for h in h_values:
-            exact_result, exact_s = timed(exact_densest, graph, h, workers=workers)
-            core_result, core_s = timed(core_exact_densest, graph, h, workers=workers)
+            exact_result, exact_s = timed(exact_densest, graph, h)
+            core_result, core_s = timed(core_exact_densest, graph, h)
             assert abs(exact_result.density - core_result.density) < 1e-6, (
                 f"{name} h={h}: Exact {exact_result.density} != CoreExact {core_result.density}"
             )

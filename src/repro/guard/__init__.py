@@ -204,59 +204,6 @@ class Budget:
         if time.monotonic() >= self._deadline_at:
             self._expire(site, f"deadline_s={self.deadline_s} elapsed")
 
-    def remaining_limits(self) -> Optional[dict]:
-        """The unspent portion of each limit, for a worker-process budget.
-
-        The parallel layer cannot share this object across processes, so
-        each worker installs its own :class:`Budget` built from what the
-        parent has left: remaining wall-clock (never negative), the
-        remaining solve allowance, and ``max_arcs`` unchanged (it bounds
-        single networks, not cumulative work).  Returns ``None`` when
-        the budget somehow has no finite limit left to propagate.
-        """
-        limits: dict = {}
-        if self.deadline_s is not None:
-            limits["deadline_s"] = max(0.0, self._deadline_at - time.monotonic())
-        if self.max_solves is not None:
-            limits["max_solves"] = max(0, self.max_solves - self.solves)
-        if self.max_arcs is not None:
-            limits["max_arcs"] = self.max_arcs
-        return limits or None
-
-    def absorb_child(self, solves: int, rounds: int = 0) -> None:
-        """Fold a worker budget's consumption into this budget's tallies.
-
-        Keeps the parent's post-mortem (:meth:`snapshot`) and its
-        ``max_solves`` accounting truthful under fan-out: work done in
-        workers counts against the parent exactly as if it ran inline.
-        Deliberately does *not* expire the parent -- expiry decisions
-        ride back as explicit degraded outcomes (:meth:`adopt_expiry`).
-        """
-        self.solves += solves
-        self.rounds += rounds
-
-    def adopt_expiry(self, site: str, reason: str) -> None:
-        """Mark this budget expired on behalf of a worker that expired.
-
-        A worker's :class:`BudgetExceeded` carries the worker-side
-        budget object, which the parent's solvers do not hold; the
-        parent adopts the expiry into *its* budget so the post-mortem in
-        ``stats["budget"]`` describes the request's budget and later
-        checkpoints re-raise immediately, same as a local expiry.
-        """
-        if self.expired is None:
-            self.expired = (site, reason)
-            if obs.ENABLED:
-                obs.event(
-                    GUARD_DEADLINE,
-                    site=site,
-                    reason=reason,
-                    elapsed_s=self.elapsed(),
-                    solves=self.solves,
-                    rounds=self.rounds,
-                )
-                obs.counter("guard.expired")
-
     def snapshot(self) -> dict:
         """Post-mortem dict for ``stats["budget"]`` of a degraded result."""
         return {

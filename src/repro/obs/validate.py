@@ -10,8 +10,7 @@ is one JSON object per line.  Four record types:
 ``span``
     A closed timed scope: name (str), seq (int >= 1), depth (int >= 0),
     parent (str or null), dur_s (float >= 0), optional t0_s (monotonic
-    start time, float >= 0), optional worker (int >= 0, stamped on
-    records merged from a worker process), optional attrs (object).
+    start time, float >= 0), optional attrs (object).
 ``event``
     A one-shot record: name (str), seq, depth, fields (object).  Every
     event name the package emits has an entry in :data:`EVENT_SCHEMAS`
@@ -108,20 +107,6 @@ EVENT_SCHEMAS: dict[str, dict[str, Field]] = {
         "m": Field("int", nonneg=True),
         "parent_m": Field("int", nonneg=True),
         "incidence": Field("int", nonneg=True),
-    },
-    # one per parallel fan-out batch (par/__init__.py)
-    "par.batch": {
-        "surface": Field("str"),
-        "tasks": Field("int", nonneg=True),
-        "workers": Field("int", nonneg=True),
-        "failures": Field("int", nonneg=True),
-        "seconds": Field("number", nonneg=True),
-    },
-    # a worker task retried serially in the parent (par/pool.py)
-    "par.failover": {
-        "task": Field("int", nonneg=True),
-        "worker": Field("int", nonneg=True),
-        "error": Field("str"),
     },
     # snapshot resolved from the in-memory cache tier (serve/cache.py)
     "serve.hit": {
@@ -233,11 +218,6 @@ def validate_records(lines: Iterable[str]) -> tuple[int, list[str]]:
                 _check(
                     isinstance(t0, (int, float)) and t0 >= 0, errors, lineno,
                     "span.t0_s must be a number >= 0",
-                )
-            if "worker" in rec:
-                _check(
-                    isinstance(rec["worker"], int) and rec["worker"] >= 0,
-                    errors, lineno, "span.worker must be int >= 0",
                 )
             _check(
                 "attrs" not in rec or isinstance(rec["attrs"], dict),

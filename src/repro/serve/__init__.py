@@ -83,7 +83,6 @@ def get_snapshot(
     graph: Graph,
     h: int = 2,
     *,
-    workers: Optional[int] = None,
     cache: Optional[ArtifactCache] = None,
 ) -> Snapshot:
     """The :class:`Snapshot` for ``(graph, h)`` via the cache tiers.
@@ -99,7 +98,7 @@ def get_snapshot(
         if budget is not None:
             budget.tick_round("serve.snapshot")
         target = cache if cache is not None else _default_cache()
-        return target.get(graph, h, workers=workers)
+        return target.get(graph, h)
 
 
 def batch_densest(
@@ -107,7 +106,6 @@ def batch_densest(
     h: int = 2,
     alphas: Optional[Sequence[Optional[float]]] = None,
     *,
-    workers: Optional[int] = None,
     deadline_s: Optional[float] = None,
     cache: Optional[ArtifactCache] = None,
 ) -> list[Union[DensestSubgraphResult, DensityAnswer]]:
@@ -116,9 +114,8 @@ def batch_densest(
     ``alphas`` is one request per entry: ``None`` asks for the densest
     subgraph, a float ``α`` for the minimal subgraph of Ψ-density >
     ``α``.  Omitted entirely, the batch is a single densest-subgraph
-    request.  The snapshot is resolved once (α-lookups then fan out
-    through :meth:`Snapshot.query_batch` when ``workers`` says so), so
-    ``n`` concurrent queries cost one precompute, not ``n``.
+    request.  The snapshot is resolved once, so ``n`` concurrent
+    queries cost one precompute, not ``n``.
 
     ``deadline_s`` wraps the snapshot *build* in a
     :class:`repro.guard.Budget`.  If the build cannot finish, the batch
@@ -136,13 +133,13 @@ def batch_densest(
         try:
             if deadline_s is not None:
                 with guard.Budget(deadline_s=deadline_s):
-                    snap = get_snapshot(graph, h, workers=workers, cache=cache)
+                    snap = get_snapshot(graph, h, cache=cache)
             else:
-                snap = get_snapshot(graph, h, workers=workers, cache=cache)
+                snap = get_snapshot(graph, h, cache=cache)
         except guard.BudgetExceeded:
-            return _degraded_batch(graph, h, requests, workers, deadline_s)
+            return _degraded_batch(graph, h, requests, deadline_s)
         qalphas = [float(a) for a in requests if a is not None]
-        answers = iter(snap.query_batch(qalphas, workers=workers))
+        answers = iter(snap.query_batch(qalphas))
         return [
             snap.densest_subgraph() if req is None else next(answers)
             for req in requests
@@ -153,7 +150,6 @@ def _degraded_batch(
     graph: Graph,
     h: int,
     requests: list,
-    workers: Optional[int],
     deadline_s: Optional[float],
 ) -> list[Union[DensestSubgraphResult, DensityAnswer]]:
     """Budget-expired fallback: answer everything via the api's machinery.
@@ -167,9 +163,9 @@ def _degraded_batch(
 
     if deadline_s is not None:
         with guard.Budget(deadline_s=deadline_s):
-            base = api.densest_subgraph(graph, h, workers=workers)
+            base = api.densest_subgraph(graph, h)
     else:  # pragma: no cover - deadline_s is the only BudgetExceeded source
-        base = api.densest_subgraph(graph, h, workers=workers)
+        base = api.densest_subgraph(graph, h)
     degraded = {
         "degraded": True,
         "degraded_at": "serve.precompute",

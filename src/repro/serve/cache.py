@@ -48,9 +48,7 @@ class ArtifactCache:
         self.loads = 0
         self.evictions = 0
 
-    def get(
-        self, graph: Graph, h: int = 2, *, workers: Optional[int] = None
-    ) -> Snapshot:
+    def get(self, graph: Graph, h: int = 2) -> Snapshot:
         """The snapshot for ``(graph, h)``, building it only on a miss."""
         key = snapshot_key(graph, h)
         snap = self._mem.get(key)
@@ -67,7 +65,7 @@ class ArtifactCache:
                 self._remember(key, snap)
                 return snap
         t0 = time.perf_counter()
-        snap = Snapshot(graph, h, workers=workers, key=key)
+        snap = Snapshot(graph, h, key=key)
         obs.event("serve.miss", key=key, h=h, seconds=time.perf_counter() - t0)
         obs.counter("serve.misses")
         self.misses += 1

@@ -9,8 +9,8 @@ behind a content-hash key over the vertex/edge arrays, ``h`` and
 :data:`~repro.flow.network.EPS`.  After that one precompute, every
 query is a lookup:
 
-* :meth:`Snapshot.densest_subgraph` replays the per-component merge of
-  :func:`repro.core.exact.exact_densest` over the stored walk results --
+* :meth:`Snapshot.densest_subgraph` merges the stored per-component
+  walk results into the answer of :func:`repro.core.exact.exact_densest` --
   bit-identical to the cold path by construction (same cuts, same
   comparisons, densities recomputed from the stored exact
   instance-count / size integer pairs, so the floats match exactly);
@@ -29,13 +29,12 @@ Densities are never stored as bare floats to be trusted blindly --
 every cut is stored with its exact instance count, and each served
 density is the single correctly-rounded division ``count / size``.
 Equal rationals round identically, which is the whole bit-identity
-argument (the same one the parallel merge in ``core/exact.py`` uses).
+argument.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
@@ -53,8 +52,6 @@ __all__ = [
     "CutInfo",
     "DensityAnswer",
     "Snapshot",
-    "bits_to_float",
-    "float_bits",
     "snapshot_key",
 ]
 
@@ -87,16 +84,6 @@ def snapshot_key(graph: Graph, h: int) -> str:
         hasher.update(a.to_bytes(8, "little"))
         hasher.update(b.to_bytes(8, "little"))
     return hasher.hexdigest()
-
-
-def float_bits(x: float) -> int:
-    """IEEE-754 bit pattern of ``x`` as a signed int64 (shm transport)."""
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def bits_to_float(bits: int) -> float:
-    """Inverse of :func:`float_bits` -- exact, no rounding."""
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 @dataclass
@@ -132,11 +119,11 @@ class ComponentArtifact:
     """One connected component's share of a snapshot.
 
     Vertex ids are dense ints over ``labels`` (the component's
-    graph-iteration order -- the exact order the parallel workers use,
-    so every stored cut is the one the solvers produce).  ``fam_*``
-    hold the breakpoint family sorted by α: ``fam_cuts[i]`` is the
-    minimal min cut on ``[fam_alphas[i], fam_alphas[i+1])`` and
-    ``fam_counts[i]`` its exact instance count.
+    graph-iteration order, so every stored cut is the one the solvers
+    produce).  ``fam_*`` hold the breakpoint family sorted by α:
+    ``fam_cuts[i]`` is the minimal min cut on
+    ``[fam_alphas[i], fam_alphas[i+1])`` and ``fam_counts[i]`` its exact
+    instance count.
     """
 
     cid: int
@@ -176,7 +163,7 @@ class Snapshot:
 
     __slots__ = (
         "key", "h", "eps", "n", "num_edges", "labels", "components",
-        "env", "loaded", "_densest", "_shared", "_entry_map",
+        "env", "loaded", "_densest",
     )
 
     def __init__(
@@ -185,7 +172,6 @@ class Snapshot:
         h: int = 2,
         *,
         index: Optional[CliqueIndex] = None,
-        workers: Optional[int] = None,
         key: Optional[str] = None,
     ):
         if h < 2:
@@ -200,21 +186,17 @@ class Snapshot:
         self.env = obs.env_fingerprint()
         self.loaded = False
         self._densest: Optional[DensestSubgraphResult] = None
-        self._shared: Optional[dict] = None
-        self._entry_map: Optional[list[tuple[int, int]]] = None
         with obs.span("serve.precompute", h=h, n=self.n):
-            self._precompute(graph, index, workers)
+            self._precompute(graph, index)
             obs.counter("serve.precomputes")
 
     # --- precompute ----------------------------------------------------
 
-    def _precompute(
-        self, graph: Graph, index: Optional[CliqueIndex], workers: Optional[int]
-    ) -> None:
+    def _precompute(self, graph: Graph, index: Optional[CliqueIndex]) -> None:
         if self.n == 0:
             return
         if self.h >= 3 and index is None:
-            index = CliqueIndex(graph, self.h, workers=workers)
+            index = CliqueIndex(graph, self.h)
         for cid, cc in enumerate(graph.connected_components()):
             sub = graph.subgraph(cc)
             labels = list(sub)
@@ -310,8 +292,6 @@ class Snapshot:
         snap.env = env if env is not None else {}
         snap.loaded = True
         snap._densest = densest
-        snap._shared = None
-        snap._entry_map = None
         return snap
 
     # --- queries (all flow-free) ----------------------------------------
@@ -328,11 +308,14 @@ class Snapshot:
     def densest_subgraph(self) -> DensestSubgraphResult:
         """The Ψ-densest subgraph -- the stored per-component merge.
 
-        Replays :func:`repro.core.exact.exact_densest`'s component merge
-        (densest component wins, exact-float ties union) over the
-        stored walk cuts; the density is recomputed as the one division
-        ``Σ counts / |union|``, which is the same correctly-rounded
-        float the cold path produces.  Zero flow solves.
+        Flow never crosses components, so the minimal min cut that
+        :func:`repro.core.exact.exact_densest`'s whole-graph walk ends on
+        is the union of the walk cuts of every component tied at the
+        maximum density; this merges the stored walk cuts the same way
+        (densest component wins, exact-float ties union).  The density
+        is recomputed as the one division ``Σ counts / |union|``, which
+        is the same correctly-rounded float the cold path produces.
+        Zero flow solves.
         """
         budget = guard.ACTIVE
         if budget is not None:
@@ -408,84 +391,9 @@ class Snapshot:
         density = count / len(vertices) if vertices else 0.0
         return DensityAnswer(alpha=alpha, vertices=vertices, density=density, count=count)
 
-    def query_batch(
-        self, alphas: list[float], *, workers: Optional[int] = None
-    ) -> list[DensityAnswer]:
-        """Many ``query_density`` lookups, optionally fanned out.
-
-        With ``workers > 1`` the binary searches run through
-        :func:`repro.par.map_components` over a shared int64 arena (the
-        family's α bit patterns, counts and sizes ship once); answers
-        are identical to the serial loop because the workers run the
-        same search over the same integers.
-        """
-        from .. import par
-
-        alphas = [float(a) for a in alphas]
-        for a in alphas:
-            if not isfinite(a) or a < 0.0:
-                raise ValueError(f"alpha must be a finite float >= 0, got {a!r}")
-        if par.resolve_workers(workers) <= 1 or len(alphas) <= 1:
-            return [self.query_density(a) for a in alphas]
-        budget = guard.ACTIVE
-        if budget is not None:
-            budget.tick_round("serve.query")
-        shared, entry_map = self._shared_family()
-        payloads = [{"alpha_bits": float_bits(a)} for a in alphas]
-        from ..par import worker as par_worker
-
-        outcomes = par.map_components(
-            par_worker.serve_lookup,
-            payloads,
-            workers=workers,
-            shared=shared,
-            surface="serve.lookups",
-        )
-        answers = []
-        for alpha, outcome in zip(alphas, outcomes):
-            res = outcome["result"]
-            vertices = set()
-            for gi in res["entries"]:
-                ai, li = entry_map[gi]
-                art = self.components[ai]
-                vertices |= art.cut_labels(art.fam_cuts[li])
-            count = res["count"]
-            density = count / len(vertices) if vertices else 0.0
-            answers.append(
-                DensityAnswer(alpha=alpha, vertices=vertices, density=density, count=count)
-            )
-        return answers
-
-    def _shared_family(self) -> tuple[dict, list[tuple[int, int]]]:
-        """The breakpoint family as flat shm-shippable int64 arrays."""
-        if self._shared is None or self._entry_map is None:
-            entoff = [0]
-            bits: list[int] = []
-            counts: list[int] = []
-            sizes: list[int] = []
-            entry_map: list[tuple[int, int]] = []
-            for ai, art in enumerate(self.components):
-                for li in range(len(art.fam_alphas)):
-                    bits.append(float_bits(art.fam_alphas[li]))
-                    counts.append(art.fam_counts[li])
-                    sizes.append(len(art.fam_cuts[li]))
-                    entry_map.append((ai, li))
-                entoff.append(len(bits))
-            from ..cliques import kernels
-
-            np = kernels.np
-            fields = {
-                "serve.entoff": entoff,
-                "serve.alphabits": bits,
-                "serve.counts": counts,
-                "serve.sizes": sizes,
-            }
-            self._shared = {
-                key: np.asarray(val, dtype=np.int64) if np is not None else list(val)
-                for key, val in fields.items()
-            }
-            self._entry_map = entry_map
-        return self._shared, self._entry_map
+    def query_batch(self, alphas: list[float]) -> list[DensityAnswer]:
+        """:meth:`query_density` for each α, in order."""
+        return [self.query_density(float(a)) for a in alphas]
 
     def density_profile(self) -> list[dict]:
         """The whole piecewise density structure, one row per breakpoint.

@@ -48,6 +48,9 @@ from .snapshot import ComponentArtifact, Snapshot
 
 __all__ = ["SnapshotStore"]
 
+#: How long a connection waits for another process's lock before failing.
+_BUSY_TIMEOUT_S = 30.0
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS snapshots (
     key TEXT PRIMARY KEY,
@@ -132,10 +135,30 @@ class SnapshotStore:
         self.cap_bytes = int(cap_bytes) if cap_bytes else None
         self.evictions = 0
         self._conn = sqlite3.connect(str(self.path))
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        # writers from other processes queue for the lock instead of
+        # failing with "database is locked"
+        self._conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
+        self._enable_wal()
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
+
+    def _enable_wal(self) -> None:
+        """Switch the file to WAL, retrying while another process holds it.
+
+        Two processes opening a fresh file at once can get "database is
+        locked" from the switch without the busy timeout applying.  The
+        mode persists in the file, so only its first opens can race.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     # --- write ---------------------------------------------------------
 
@@ -238,13 +261,30 @@ class SnapshotStore:
         Returns ``None`` on a miss, and deletes-then-misses a row whose
         stored EPS differs from the live flow layer's (the persisted
         breakpoint family would no longer match what a cold solve
-        computes).
+        computes).  All three tables are read in one transaction, so an
+        eviction racing the load makes it a miss or stays invisible to
+        it: a load never returns part of a snapshot.
         """
         t0 = time.perf_counter()
-        row = self._conn.execute(
-            "SELECT h, eps, n, m, labels, env, nbytes FROM snapshots WHERE key = ?",
-            (key,),
-        ).fetchone()
+        self._conn.execute("BEGIN")
+        try:
+            row = self._conn.execute(
+                "SELECT h, eps, n, m, labels, env, nbytes FROM snapshots WHERE key = ?",
+                (key,),
+            ).fetchone()
+            if row is not None and row[1] == EPS:
+                crows = self._conn.execute(
+                    "SELECT cid, labels, esrc, edst, inst_rows, nodes, walk_cut, "
+                    "walk_rho, walk_count, walk_solves, fam_alphas, fam_counts, "
+                    "fam_offsets, fam_cutids FROM components WHERE key = ? ORDER BY cid",
+                    (key,),
+                ).fetchall()
+                rrow = self._conn.execute(
+                    "SELECT density, vertices, iterations FROM results WHERE key = ?",
+                    (key,),
+                ).fetchone()
+        finally:
+            self._conn.commit()
         if row is None:
             return None
         h, eps, _n, num_edges, labels_json, env_json, nbytes = row
@@ -253,12 +293,7 @@ class SnapshotStore:
             return None
         labels = json.loads(labels_json)
         components = []
-        for crow in self._conn.execute(
-            "SELECT cid, labels, esrc, edst, inst_rows, nodes, walk_cut, "
-            "walk_rho, walk_count, walk_solves, fam_alphas, fam_counts, "
-            "fam_offsets, fam_cutids FROM components WHERE key = ? ORDER BY cid",
-            (key,),
-        ):
+        for crow in crows:
             offsets = _unpack_i(crow[12])
             cutids = _unpack_i(crow[13])
             fam_cuts = [
@@ -283,9 +318,6 @@ class SnapshotStore:
                 )
             )
         densest = None
-        rrow = self._conn.execute(
-            "SELECT density, vertices, iterations FROM results WHERE key = ?", (key,)
-        ).fetchone()
         if rrow is not None:
             densest = DensestSubgraphResult(
                 vertices={labels[i] for i in _unpack_i(rrow[1])},

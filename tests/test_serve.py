@@ -22,6 +22,7 @@ multi-component random graphs pins it:
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -30,20 +31,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import api, guard, obs, par, serve
+from repro import api, guard, obs, serve
 from repro.cliques.index import CliqueIndex
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
 from repro.graph.graph import Graph
 from repro.serve import ArtifactCache, Snapshot, SnapshotStore
-from repro.serve.snapshot import bits_to_float, float_bits
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _shutdown_pools():
-    yield
-    par.shutdown()
 
 
 def _graph(seed: int) -> Graph:
@@ -146,18 +140,17 @@ def test_query_density_matches_cold_parametric_solves(seed):
 
 
 @pytest.mark.parametrize("seed", (2, 9, 16))
-def test_query_batch_parallel_is_identical_to_serial(seed):
+def test_query_batch_is_identical_to_query_density(seed):
     g, h = _graph(seed), _h(seed)
     snap = Snapshot(g, h)
     alphas = _midpoints(snap)
     serial = [snap.query_density(a) for a in alphas]
-    for workers in (1, 2):
-        batch = snap.query_batch(alphas, workers=workers)
-        assert len(batch) == len(serial)
-        for got, want in zip(batch, serial):
-            assert got.vertices == want.vertices, (seed, h, workers, got.alpha)
-            assert got.density == want.density, (seed, h, workers, got.alpha)
-            assert got.count == want.count, (seed, h, workers, got.alpha)
+    batch = snap.query_batch(alphas)
+    assert len(batch) == len(serial)
+    for got, want in zip(batch, serial):
+        assert got.vertices == want.vertices, (seed, h, got.alpha)
+        assert got.density == want.density, (seed, h, got.alpha)
+        assert got.count == want.count, (seed, h, got.alpha)
 
 
 # --- the zero-flow-solve guarantee ------------------------------------
@@ -225,13 +218,6 @@ def test_query_density_rejects_bad_alphas():
             snap.query_density(bad)
     with pytest.raises(ValueError):
         snap.query_batch([0.0, -2.0])
-
-
-def test_float_bits_roundtrip_preserves_order_and_value():
-    values = [0.0, 0.5, 1.0, 4.0 / 3.0, 17.25, 1e-9, 1e9]
-    assert [bits_to_float(float_bits(v)) for v in values] == values
-    bits = [float_bits(v) for v in sorted(values)]
-    assert bits == sorted(bits)  # non-negative doubles order as int64 bits
 
 
 # --- the api snapshot= gate -------------------------------------------
@@ -332,6 +318,128 @@ def test_store_lru_respects_the_byte_cap(tmp_path):
     assert store.keys() == [second.key]
     assert store.evictions >= 1
     assert store.stats()["snapshots"] == 1
+    store.close()
+
+
+# --- persistence under concurrency ------------------------------------
+
+
+def test_store_load_racing_an_eviction_never_returns_part_of_a_snapshot(tmp_path):
+    """An eviction that lands mid-load is invisible to it: whole or miss."""
+    snap = Snapshot(_graph(3), _h(3))
+    want = snap.densest_subgraph()
+    reader, evictor = SnapshotStore(tmp_path), SnapshotStore(tmp_path)
+    assert evictor.save(snap)
+
+    def evict_mid_load(sql):
+        if "FROM components" in sql:
+            evictor.delete(snap.key)
+
+    reader._conn.set_trace_callback(evict_mid_load)
+    loaded = reader.load(snap.key)
+    reader._conn.set_trace_callback(None)
+    assert evictor.keys() == []  # the eviction committed during the load
+    assert loaded is not None
+    assert len(loaded.components) == len(snap.components)
+    got = loaded.densest_subgraph()
+    assert got.vertices == want.vertices and got.density == want.density
+    assert reader.load(snap.key) is None  # a load after it misses
+    reader.close()
+    evictor.close()
+
+
+_STORE_WORKER = """
+import json, sys, time
+from pathlib import Path
+sys.path.insert(0, 'tests'); sys.path.insert(0, 'src')
+from test_serve import _graph, _h
+from repro.serve import Snapshot, SnapshotStore
+
+role, root, cap, spec = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+store = SnapshotStore(root, cap_bytes=cap)
+if role == 'writer':
+    snaps = [Snapshot(_graph(s), _h(s)) for s in json.loads(spec)]
+    for _ in range(15):
+        for snap in snaps:
+            assert store.save(snap)
+    print('saves', 15 * len(snaps))
+else:
+    expected = json.loads(Path(spec).read_text())
+    stop = Path(root) / 'stop'
+    hits = misses = 0
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        last = stop.exists()
+        for key, want in expected.items():
+            snap = store.load(key)
+            if snap is None:
+                misses += 1
+                continue
+            hits += 1
+            assert len(snap.components) == want['components'], key
+            res = snap.densest_subgraph()
+            assert sorted(res.vertices) == want['vertices'], key
+            assert res.density.hex() == want['density'], key
+            q = snap.query_density(0.0)
+            assert (sorted(q.vertices), q.count) == (want['q0'], want['q0_count']), key
+        if last:
+            break
+    assert stop.exists(), 'reader timed out'
+    print('hits', hits, 'misses', misses)
+store.close()
+"""
+
+
+def test_store_serves_whole_snapshots_to_concurrent_writers_and_a_reader(tmp_path):
+    """Three writer processes save (and so evict) under a byte cap while a
+    reader process loads: no process errors, and every load is a miss or
+    a snapshot whose answers equal the cold solve."""
+    seeds = list(range(6))
+    expected = {}
+    sizing = SnapshotStore(tmp_path / "sizing")
+    for seed in seeds:
+        g, h = _graph(seed), _h(seed)
+        cold = api.densest_subgraph(g, h, method="exact")
+        snap = Snapshot(g, h)
+        assert sizing.save(snap)
+        q = snap.query_density(0.0)
+        expected[snap.key] = {
+            "components": len(snap.components),
+            "vertices": sorted(cold.vertices),
+            "density": cold.density.hex(),
+            "q0": sorted(q.vertices),
+            "q0_count": q.count,
+        }
+    cap = sizing.stats()["bytes"] // 2  # about half the snapshots fit
+    sizing.close()
+    root = tmp_path / "shared"
+    root.mkdir()
+    spec = tmp_path / "expected.json"
+    spec.write_text(json.dumps(expected))
+    script = tmp_path / "store_worker.py"
+    script.write_text(_STORE_WORKER)
+    env = dict(os.environ, PYTHONPATH="src")
+
+    def start(role, arg):
+        return subprocess.Popen(
+            [sys.executable, str(script), role, str(root), str(cap), arg],
+            cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+
+    reader = start("reader", str(spec))
+    writers = [start("writer", json.dumps(seeds[i:] + seeds[:i])) for i in (0, 2, 4)]
+    for proc in writers:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, out + err
+        assert out.split() == ["saves", "90"], out + err
+    (root / "stop").touch()
+    out, err = reader.communicate(timeout=300)
+    assert reader.returncode == 0, out + err
+    words = out.split()
+    assert words[0] == "hits" and int(words[1]) >= 1, out + err
+    store = SnapshotStore(root, cap_bytes=cap)
+    assert 1 <= store.stats()["snapshots"] < len(seeds)  # the cap evicted
     store.close()
 
 
@@ -451,10 +559,9 @@ def test_snapshots_hold_without_numpy(tmp_path):
         "    loaded = cache.get(g, h)\n"
         "    assert loaded.loaded, seed\n"
         "    assert loaded.densest_subgraph().vertices == cold.vertices, seed\n"
-        "    batch = snap.query_batch([0.0, 0.25], workers=2)\n"
+        "    batch = snap.query_batch([0.0, 0.25])\n"
         "    serial = [snap.query_density(a) for a in (0.0, 0.25)]\n"
         "    assert [a.vertices for a in batch] == [a.vertices for a in serial]\n"
-        "from repro import par; par.shutdown()\n"
         "print('identical')\n"
     )
     env = dict(os.environ, REPRO_NO_NUMPY="1", PYTHONPATH="src")

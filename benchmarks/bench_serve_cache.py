@@ -13,16 +13,21 @@ Per Figure-8 small-dataset cell (h in {2, 3}):
 
 * ``cold_s`` -- one full exact solve (enumeration + parametric flow);
 * ``precompute_s`` -- building the snapshot (walk + breakpoint sweep);
-* ``warm_s`` -- a served ``densest_subgraph()`` off the snapshot;
+* ``warm_s`` -- a served ``densest_subgraph()`` off the snapshot (the
+  lookup alone);
+* ``request_s`` -- a warm ``serve.batch_densest(graph, h, cache=cache)``
+  through a populated :class:`~repro.serve.ArtifactCache`: what a caller
+  pays, content-hash key included;
 * ``load_s`` / ``reload_warm_s`` -- restoring from the SQLite store on
   a fresh connection (the restart path) and querying the restored
   artifact, with every α-profile answer compared against the original.
 
 Wall times land in the machine-readable
 ``benchmarks/out/BENCH_service.json``.  The headline -- >= 10x
-warm-vs-cold on at least one non-trivial cell -- is asserted whenever a
-cell's cold solve clears the timing-noise floor; otherwise the JSON
-carries an explicit skip record so a degenerate run is never misread.
+warm-vs-cold and request-vs-cold on at least one non-trivial cell -- is
+asserted whenever a cell's cold solve clears the timing-noise floor;
+otherwise the JSON carries an explicit skip record so a degenerate run
+is never misread.
 """
 
 import json
@@ -30,17 +35,17 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import api, obs
+from repro import api, obs, serve
 from repro.datasets.registry import dataset_names, load
 from repro.experiments.harness import env_fingerprint
-from repro.serve import Snapshot, SnapshotStore
+from repro.serve import ArtifactCache, Snapshot, SnapshotStore
 
 OUT_DIR = Path(__file__).parent / "out"
 
 H_VALUES = (2, 3)
 
-#: Required warm-vs-cold speedup on at least one eligible cell (the
-#: PR's headline acceptance criterion).
+#: Required warm-vs-cold and request-vs-cold speedup on at least one
+#: eligible cell.
 SERVE_MIN_SPEEDUP = 10.0
 
 #: Cold wall-clock floor for a cell to count toward the speedup claim;
@@ -92,6 +97,16 @@ def test_serve_cache(benchmark, emit, bench_scale):
                 via_api = api.densest_subgraph(graph, h, snapshot=snap)
                 _assert_same_result(via_api, cold, (name, h, "snapshot="))
                 assert store.save(snap), (name, h)
+                # a caller's warm request: cache lookup (content-hash key
+                # included) plus the lookup; the first get loads the saved
+                # snapshot from the store, so nothing is precomputed twice
+                cache = ArtifactCache(store=store)
+                cache.get(graph, h)
+                (served,), request_s = _best_timed(
+                    serve.batch_densest, graph, h, cache=cache, reps=5
+                )
+                _assert_same_result(served, cold, (name, h, "request"))
+                assert cache.misses == 0, (name, h)
                 row = {
                     "dataset": name,
                     "h": h,
@@ -102,7 +117,11 @@ def test_serve_cache(benchmark, emit, bench_scale):
                     "cold_s": cold_s,
                     "precompute_s": precompute_s,
                     "warm_s": warm_s,
+                    "request_s": request_s,
                     "speedup_warm": cold_s / warm_s if warm_s > 0 else float("inf"),
+                    "speedup_request": (
+                        cold_s / request_s if request_s > 0 else float("inf")
+                    ),
                 }
                 rows.append(row)
                 cells.append((row, snap))
@@ -148,12 +167,14 @@ def test_serve_cache(benchmark, emit, bench_scale):
     # --- the headline claim, or an explicit skip record ----------------
     eligible = [r for r in rows if r["cold_s"] >= SERVE_ASSERT_MIN_SECONDS]
     best = max((r["speedup_warm"] for r in eligible), default=0.0)
+    best_request = max((r["speedup_request"] for r in eligible), default=0.0)
     if eligible:
         serve_assert = {
             "asserted": True,
             "min_speedup": SERVE_MIN_SPEEDUP,
             "eligible_cells": len(eligible),
             "best_speedup_warm": best,
+            "best_speedup_request": best_request,
         }
     else:
         serve_assert = {
@@ -161,6 +182,7 @@ def test_serve_cache(benchmark, emit, bench_scale):
             "min_speedup": SERVE_MIN_SPEEDUP,
             "eligible_cells": 0,
             "best_speedup_warm": best,
+            "best_speedup_request": best_request,
             "skip_reason": (
                 f"no cell's cold solve reached {SERVE_ASSERT_MIN_SECONDS}s "
                 "at this bench scale; warm-vs-cold is not measurable here "
@@ -175,7 +197,8 @@ def test_serve_cache(benchmark, emit, bench_scale):
                 k: r.get(k, "-")
                 for k in (
                     "dataset", "h", "breakpoints", "cold_s", "precompute_s",
-                    "warm_s", "load_s", "speedup_warm", "speedup_reload",
+                    "warm_s", "request_s", "load_s", "speedup_warm",
+                    "speedup_request", "speedup_reload",
                 )
             }
             for r in rows
@@ -185,7 +208,7 @@ def test_serve_cache(benchmark, emit, bench_scale):
         + (
             ""
             if serve_assert["asserted"]
-            else f"; >= {SERVE_MIN_SPEEDUP:g}x warm assert SKIPPED"
+            else f"; >= {SERVE_MIN_SPEEDUP:g}x warm/request assert SKIPPED"
         )
         + ")",
     )
@@ -204,6 +227,7 @@ def test_serve_cache(benchmark, emit, bench_scale):
             "cold_s": sum(r["cold_s"] for r in rows),
             "precompute_s": sum(r["precompute_s"] for r in rows),
             "warm_s": sum(r["warm_s"] for r in rows),
+            "request_s": sum(r["request_s"] for r in rows),
             "load_s": sum(r["load_s"] for r in rows),
         },
     }
@@ -215,9 +239,12 @@ def test_serve_cache(benchmark, emit, bench_scale):
         assert best >= SERVE_MIN_SPEEDUP, [
             (r["dataset"], r["h"], r["speedup_warm"]) for r in eligible
         ]
+        assert best_request >= SERVE_MIN_SPEEDUP, [
+            (r["dataset"], r["h"], r["speedup_request"]) for r in eligible
+        ]
     else:
         print(
-            f"\n[serve >= {SERVE_MIN_SPEEDUP:g}x warm assert SKIPPED: "
+            f"\n[serve >= {SERVE_MIN_SPEEDUP:g}x warm/request assert SKIPPED: "
             f"{serve_assert['skip_reason']}]"
         )
 

@@ -148,7 +148,9 @@ def densest_subgraph(
         bit-identical exact answer.  Valid only for h-clique motifs
         with the exact methods (``auto`` / ``exact`` / ``core-exact``);
         ``strict`` additionally verifies the snapshot's content-hash
-        key against ``graph`` (an O(n + m) hash, still no solver work).
+        key against ``graph`` (no solver work; the graph memoizes its
+        fingerprint, so only the first check on an unmutated graph
+        hashes its vertices and edges).
 
     Notes
     -----

@@ -13,6 +13,7 @@ degeneracy ordering -- nothing more exotic.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from typing import Hashable, Iterable, Iterator
 
@@ -40,11 +41,13 @@ class Graph:
     [0, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges")
+    __slots__ = ("_adj", "_num_edges", "_digest")
 
     def __init__(self, edges: Iterable[Edge] = (), vertices: Iterable[Vertex] = ()):
         self._adj: dict[Vertex, set[Vertex]] = {}
         self._num_edges = 0
+        # fingerprint() memo; every mutator that changes the graph resets it
+        self._digest: bytes | None = None
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -57,6 +60,7 @@ class Graph:
         """Add an isolated vertex (no-op if already present)."""
         if v not in self._adj:
             self._adj[v] = set()
+            self._digest = None
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         """Add the undirected edge ``{u, v}``, creating endpoints as needed.
@@ -74,6 +78,7 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._num_edges += 1
+            self._digest = None
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove ``v`` and all incident edges.
@@ -87,6 +92,7 @@ class Graph:
         for u in neighbors:
             self._adj[u].discard(v)
         self._num_edges -= len(neighbors)
+        self._digest = None
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``{u, v}``.
@@ -101,6 +107,7 @@ class Graph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._num_edges -= 1
+        self._digest = None
 
     # ------------------------------------------------------------------
     # Inspection
@@ -142,7 +149,12 @@ class Graph:
             seen.add(u)
 
     def neighbors(self, v: Vertex) -> set[Vertex]:
-        """The neighbour set of ``v`` (do not mutate the returned set)."""
+        """The neighbour set of ``v``.
+
+        Do not mutate the returned set: it is the graph's own storage, and
+        a change made through it bypasses the edge count and
+        :meth:`fingerprint` invalidation.
+        """
         return self._adj[v]
 
     def degree(self, v: Vertex) -> int:
@@ -158,6 +170,35 @@ class Graph:
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
         return u in self._adj and v in self._adj[u]
+
+    def fingerprint(self) -> bytes:
+        """SHA-256 digest of the graph's content, computed once per state.
+
+        Hashes ``n``, ``m``, the vertex labels (``repr``, in iteration
+        order) and the edge id pairs (sorted, so neighbour-set iteration
+        order cannot leak in).  Two graphs with the same labels inserted
+        in the same order and the same edge set get the same digest;
+        relabelling or a different insertion order changes it.
+
+        The digest is memoized: repeat calls on an unchanged graph are
+        O(1), and every mutator that changes the graph (a new vertex or
+        edge, any removal) discards it.
+        """
+        if self._digest is None:
+            hasher = hashlib.sha256(f"n={len(self._adj)}|m={self._num_edges}".encode())
+            id_of = {v: i for i, v in enumerate(self._adj)}
+            for v in self._adj:
+                hasher.update(repr(v).encode())
+                hasher.update(b"\x00")
+            pairs = sorted(
+                (id_of[u], id_of[v]) if id_of[u] < id_of[v] else (id_of[v], id_of[u])
+                for u, v in self.edges()
+            )
+            for a, b in pairs:
+                hasher.update(a.to_bytes(8, "little"))
+                hasher.update(b.to_bytes(8, "little"))
+            self._digest = hasher.digest()
+        return self._digest
 
     def edge_density(self) -> float:
         """Edge-density ``|E| / |V|`` (Definition 1); 0.0 for the empty graph."""

@@ -5,7 +5,8 @@ One :class:`ArtifactCache` resolves ``(graph, h)`` to a
 first:
 
 1. **memory hit** -- the snapshot object is already resident
-   (``serve.hit``): zero work beyond the content hash;
+   (``serve.hit``): zero work beyond the content hash, which the
+   graph memoizes, so a repeat hit on an unmutated graph is O(1);
 2. **store load** -- the persistence tier has the artifacts
    (``serve.load``, emitted by the store): reconstruct from blobs, no
    enumeration, no flow;
@@ -65,7 +66,7 @@ class ArtifactCache:
                 self._remember(key, snap)
                 return snap
         t0 = time.perf_counter()
-        snap = Snapshot(graph, h, key=key)
+        snap = Snapshot(graph, h)
         obs.event("serve.miss", key=key, h=h, seconds=time.perf_counter() - t0)
         obs.counter("serve.misses")
         self.misses += 1

@@ -59,31 +59,20 @@ __all__ = [
 def snapshot_key(graph: Graph, h: int) -> str:
     """Content-hash key of a ``(graph, h)`` snapshot.
 
-    SHA-256 over the format version, ``h``, :data:`EPS`, the vertex
-    count/labels (in graph iteration order) and the edge id pairs
-    (sorted, so neighbour-set iteration order cannot leak in).  Two
-    graphs with the same labels inserted in the same order and the same
-    edge set collide; anything else -- including a different EPS after
-    a flow-layer retune -- misses.
+    SHA-256 over the format version, ``h``, :data:`EPS` and
+    :meth:`Graph.fingerprint <repro.graph.graph.Graph.fingerprint>` (the
+    vertex count/labels in graph iteration order and the sorted edge id
+    pairs).  Two graphs with the same labels inserted in the same order
+    and the same edge set collide; anything else -- including a
+    different EPS after a flow-layer retune -- misses.
+
+    The graph memoizes its fingerprint per state, so on an unmutated
+    graph the key costs O(1) after the first call; the graph's mutators
+    invalidate it.  Stores written under the v1 format miss once and
+    rebuild.
     """
-    hasher = hashlib.sha256()
-    hasher.update(
-        f"serve-snapshot-v1|h={h}|eps={EPS!r}|n={graph.num_vertices}"
-        f"|m={graph.num_edges}".encode()
-    )
-    labels = list(graph)
-    id_of = {v: i for i, v in enumerate(labels)}
-    for v in labels:
-        hasher.update(repr(v).encode())
-        hasher.update(b"\x00")
-    pairs = sorted(
-        (id_of[u], id_of[v]) if id_of[u] < id_of[v] else (id_of[v], id_of[u])
-        for u, v in graph.edges()
-    )
-    for a, b in pairs:
-        hasher.update(a.to_bytes(8, "little"))
-        hasher.update(b.to_bytes(8, "little"))
-    return hasher.hexdigest()
+    prefix = f"serve-snapshot-v2|h={h}|eps={EPS!r}|".encode()
+    return hashlib.sha256(prefix + graph.fingerprint()).hexdigest()
 
 
 @dataclass
@@ -172,13 +161,12 @@ class Snapshot:
         h: int = 2,
         *,
         index: Optional[CliqueIndex] = None,
-        key: Optional[str] = None,
     ):
         if h < 2:
             raise ValueError("h must be >= 2")
         self.h = h
         self.eps = EPS
-        self.key = key if key is not None else snapshot_key(graph, h)
+        self.key = snapshot_key(graph, h)
         self.labels = list(graph)
         self.n = graph.num_vertices
         self.num_edges = graph.num_edges

@@ -1,5 +1,7 @@
 """Unit tests for the Graph substrate."""
 
+import random
+
 import pytest
 
 from repro.graph.graph import (
@@ -133,6 +135,132 @@ class TestDerivedGraphs:
         sub = paper_figure1_graph.subgraph([0, 1, 2, 3])
         sub.remove_vertex(0)
         assert paper_figure1_graph.has_edge(0, 1)
+
+
+def _rebuilt(g: Graph) -> Graph:
+    """An independent graph with ``g``'s vertex order and edge set."""
+    return Graph(g.edges(), vertices=list(g))
+
+
+def _count_edges_calls(monkeypatch) -> list:
+    """Count every ``Graph.edges`` call from here on (one entry each)."""
+    calls = []
+    original = Graph.edges
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "edges", counted)
+    return calls
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_vertex(99),
+            lambda g: g.add_edge(0, 3),
+            lambda g: g.add_edge(3, 99),
+            lambda g: g.remove_vertex(1),
+            lambda g: g.remove_edge(1, 2),
+        ],
+        ids=["add_vertex", "add_edge", "add_edge_new_endpoint",
+             "remove_vertex", "remove_edge"],
+    )
+    def test_each_effective_mutation_changes_it(self, mutate):
+        g = Graph([(0, 1), (1, 2), (2, 3)])
+        before = g.fingerprint()
+        mutate(g)
+        after = g.fingerprint()
+        assert after != before
+        assert after == _rebuilt(g).fingerprint()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_vertex(0),
+            lambda g: g.add_edge(0, 1),
+            lambda g: g.add_edge(2, 1),
+        ],
+        ids=["existing_vertex", "duplicate_edge", "reversed_duplicate_edge"],
+    )
+    def test_noop_mutations_keep_the_memo(self, mutate, monkeypatch):
+        g = Graph([(0, 1), (1, 2), (2, 3)])
+        before = g.fingerprint()
+        calls = _count_edges_calls(monkeypatch)
+        mutate(g)
+        assert g.fingerprint() == before
+        assert calls == []  # served from the memo, no edge walk
+
+    def test_failed_removals_keep_it(self):
+        g = Graph([(0, 1), (1, 2)])
+        before = g.fingerprint()
+        with pytest.raises(KeyError):
+            g.remove_edge(0, 2)
+        with pytest.raises(KeyError):
+            g.remove_vertex(9)
+        with pytest.raises(ValueError):
+            g.add_edge(1, 1)
+        assert g.fingerprint() == before == _rebuilt(g).fingerprint()
+
+    def test_repeat_calls_do_not_walk_the_edges(self, monkeypatch):
+        g = random_graph(40, 120, seed=3)
+        first = g.fingerprint()
+        calls = _count_edges_calls(monkeypatch)
+        for _ in range(50):
+            assert g.fingerprint() == first
+        assert calls == []
+
+    def test_copy_and_equal_rebuild_match(self):
+        g = random_graph(30, 80, seed=5)
+        g.fingerprint()
+        h = g.copy()
+        assert h.fingerprint() == g.fingerprint()
+        assert _rebuilt(g).fingerprint() == g.fingerprint()
+        h.add_edge(0, 100)
+        assert h.fingerprint() != g.fingerprint()
+        assert g.fingerprint() == _rebuilt(g).fingerprint()
+
+    def test_subgraph_starts_clean(self):
+        g = random_graph(30, 80, seed=6)
+        g.fingerprint()
+        keep = list(range(0, 30, 2))
+        sub = g.subgraph(keep)
+        assert sub.fingerprint() == _rebuilt(sub).fingerprint()
+        assert sub.fingerprint() != g.fingerprint()
+
+    def test_relabelling_or_insertion_order_changes_it(self):
+        g = Graph([(0, 1), (1, 2), (2, 0)])
+        relabelled = Graph([(0, 1), (1, 3), (3, 0)])
+        reordered = Graph([(0, 1), (1, 2), (2, 0)], vertices=[2, 1, 0])
+        string_labels = Graph([("0", "1"), ("1", "2"), ("2", "0")])
+        assert g == reordered  # same content, different insertion order
+        digests = {x.fingerprint() for x in (g, relabelled, reordered, string_labels)}
+        assert len(digests) == 4
+
+    def test_empty_and_isolated_vertices(self):
+        assert Graph().fingerprint() == Graph().fingerprint()
+        assert Graph().fingerprint() != Graph(vertices=[0]).fingerprint()
+        assert Graph(vertices=[0, 1]).fingerprint() != Graph([(0, 1)]).fingerprint()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_mutation_sequences_never_serve_a_stale_digest(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(12, 20, seed=seed)
+        for _ in range(60):
+            g.fingerprint()
+            op = rng.randrange(4)
+            u, v = rng.randrange(15), rng.randrange(15)
+            if op == 0:
+                g.add_vertex(u)
+            elif op == 1 and u != v:
+                g.add_edge(u, v)
+            elif op == 2 and u in g:
+                g.remove_vertex(u)
+            elif op == 3 and g.has_edge(u, v):
+                g.remove_edge(u, v)
+            assert g.fingerprint() == _rebuilt(g).fingerprint()
 
 
 class TestComponents:

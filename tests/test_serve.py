@@ -521,6 +521,81 @@ def test_batch_densest_answers_mixed_requests_off_one_snapshot():
     assert cache.misses == 1  # one precompute served the whole batch
 
 
+def test_warm_keyed_requests_never_walk_the_edges(monkeypatch):
+    """Complexity guard: a warm keyed request costs O(1) in ``m``.
+
+    The content key is memoized on the graph, so once the first batch
+    has built the snapshot, neither the cache lookup, nor
+    ``Snapshot.matches``, nor the strict ``snapshot=`` gate re-walks the
+    edge set (counted with a wrapper around ``Graph.edges``).
+    """
+    g, h = _graph(11), _h(11)
+    cache = ArtifactCache()
+    first = serve.batch_densest(g, h, cache=cache)[0]
+    snap = serve.get_snapshot(g, h, cache=cache)
+    alphas = _midpoints(snap)[:3]
+    calls = []
+    original = Graph.edges
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "edges", counted)
+    for i in range(100):
+        answers = serve.batch_densest(
+            g, h, [None, alphas[i % len(alphas)], None], cache=cache
+        )
+        assert answers[0].vertices == first.vertices
+        assert snap.matches(g)
+        api.densest_subgraph(g, h, snapshot=snap)
+    assert calls == []
+    assert cache.misses == 1 and cache.hits == 101
+
+
+def _add_k8(g: Graph, best: set) -> None:
+    """A new K8 block, denser than any ``_graph`` component."""
+    for i in range(8):
+        for j in range(i + 1, 8):
+            g.add_edge(1000 + i, 1000 + j)
+
+
+def _remove_densest_edge(g: Graph, best: set) -> None:
+    u = min(best)
+    g.remove_edge(u, min(best & g.neighbors(u)))
+
+
+_MUTATIONS = {
+    "add_vertex": lambda g, best: g.add_vertex(-1),
+    "add_edges": _add_k8,
+    "remove_vertex": lambda g, best: g.remove_vertex(min(best)),
+    "remove_edge": _remove_densest_edge,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@pytest.mark.parametrize("seed", (4, 13))
+def test_mutating_a_served_graph_in_place_rebuilds_its_snapshot(seed, mutation):
+    g, h = _graph(seed), _h(seed)
+    cache = ArtifactCache()
+    old = cache.get(g, h)
+    assert cache.get(g, h) is old and old.matches(g)
+    _MUTATIONS[mutation](g, old.densest_subgraph().vertices)
+
+    assert not old.matches(g)
+    fresh = cache.get(g, h)
+    assert fresh is not old and fresh.key != old.key
+    assert cache.misses == 2
+    cold = api.densest_subgraph(g, h, method="exact")
+    warm = fresh.densest_subgraph()
+    assert warm.vertices == cold.vertices
+    assert warm.density == cold.density
+    with pytest.raises(ValueError, match="content hash"):
+        api.densest_subgraph(g, h, snapshot=old)
+    via_api = api.densest_subgraph(g, h, snapshot=fresh)
+    assert via_api.vertices == cold.vertices and via_api.density == cold.density
+
+
 def test_batch_densest_degrades_when_the_build_deadline_expires():
     g = _graph(7)
     answers = serve.batch_densest(

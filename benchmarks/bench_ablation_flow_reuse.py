@@ -1,17 +1,18 @@
 """Ablation: flow engines × clique-index kernels in the exact algorithms.
 
-PR 2 introduced the array-backed :class:`ParametricNetwork` (engine
-``"reuse"``), PR 3 the GGT breakpoint walk (engine ``"ggt"``, now the
-default), and PR 4 the array-backed clique-index layer that feeds every
-engine its instances.  The bench quantifies all of it on the Figure-8
+The default ``"ggt"`` engine walks the min-cut breakpoints of one
+array-backed :class:`ParametricNetwork`; the ``"rebuild"`` engine is the
+paper's binary search with a fresh network per guess, kept as the
+reference; the array-backed clique-index layer feeds both engines their
+instances.  The bench quantifies all of it on the Figure-8
 small-dataset suite and writes a machine-readable JSON
 (``benchmarks/out/flow_reuse_ablation.json``, committed as evidence) so
 the perf trajectory is tracked across PRs.
 
 Per cell (dataset × algorithm × h) it records:
 
-* wall-clock and speedups of the three flow engines
-  (``rebuild``/``reuse``/``ggt``) plus their max-flow solve counts;
+* wall-clock and the GGT speedup over ``rebuild`` plus both engines'
+  max-flow solve counts;
 * the **enumeration/flow split** of the default-engine run, read off
   the solvers' ``stats`` (``enumeration_seconds`` /
   ``decomposition_seconds`` / ``flow_seconds``), which is where the
@@ -20,7 +21,7 @@ Per cell (dataset × algorithm × h) it records:
   intersection kernels vs the pure-python fallback, asserted >= 2x
   faster with numpy on every cell whose instance count is non-trivial.
 
-Every cell asserts all three engines return identical vertex sets and
+Every cell asserts both engines return identical vertex sets and
 densities, and (h >= 3) that a solver fed a reference-enumerator index
 ("old enumeration") is bit-identical to the kernel-fed run -- the
 ablation is only meaningful if results are unchanged.
@@ -52,7 +53,7 @@ from repro.flow.builders import build_cds_parametric, build_eds_parametric
 
 OUT_DIR = Path(__file__).parent / "out"
 
-ENGINES = ("rebuild", "reuse", "ggt")
+ENGINES = ("rebuild", "ggt")
 
 #: Flow-phase wall-clock (numpy tier) below which a backend cell is too
 #: fast to time reliably; the numba >= 3x claim is only asserted on
@@ -99,13 +100,8 @@ def _cells(bench_scale):
                         fn, graph, h, flow_engine=engine
                     )
                 baseline = results["rebuild"]
-                for engine in ("reuse", "ggt"):
-                    assert results[engine].vertices == baseline.vertices, (
-                        name, algorithm, h, engine,
-                    )
-                    assert results[engine].density == baseline.density, (
-                        name, algorithm, h, engine,
-                    )
+                assert results["ggt"].vertices == baseline.vertices, (name, algorithm, h)
+                assert results["ggt"].density == baseline.density, (name, algorithm, h)
 
                 row = {
                     "dataset": name,
@@ -118,13 +114,7 @@ def _cells(bench_scale):
                     "active_tier": accel.TIER,
                     "numba_available": accel.NUMBA_JITTED,
                     "rebuild_s": seconds["rebuild"],
-                    "reuse_s": seconds["reuse"],
                     "ggt_s": seconds["ggt"],
-                    "speedup_reuse": (
-                        seconds["rebuild"] / seconds["reuse"]
-                        if seconds["reuse"] > 0
-                        else float("inf")
-                    ),
                     "speedup_ggt": (
                         seconds["rebuild"] / seconds["ggt"]
                         if seconds["ggt"] > 0
@@ -132,7 +122,7 @@ def _cells(bench_scale):
                     ),
                     # max-flow solve counts: the binary search runs one
                     # per iteration, the GGT walk one per breakpoint hop
-                    "solves_binary": results["reuse"].iterations,
+                    "solves_binary": results["rebuild"].iterations,
                     "solves_ggt": results["ggt"].iterations,
                     "density": baseline.density,
                     # enumeration/flow wall-clock split of the default
@@ -263,13 +253,10 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
     for algorithm in ("CoreExact", "Exact"):
         sub = [r for r in rows if r["algorithm"] == algorithm]
         rebuild = sum(r["rebuild_s"] for r in sub)
-        reuse = sum(r["reuse_s"] for r in sub)
         ggt = sum(r["ggt_s"] for r in sub)
         aggregates[algorithm] = {
             "rebuild_s": rebuild,
-            "reuse_s": reuse,
             "ggt_s": ggt,
-            "speedup_reuse": rebuild / reuse if reuse > 0 else float("inf"),
             "speedup_ggt": rebuild / ggt if ggt > 0 else float("inf"),
             "solves_binary": sum(r["solves_binary"] for r in sub),
             "solves_ggt": sum(r["solves_ggt"] for r in sub),
@@ -294,11 +281,9 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
     emit(
         "ablation_flow_reuse",
         rows,
-        "Flow-engine x clique-kernel ablation -- rebuild vs reuse vs GGT "
-        f"(aggregate speedup: Exact {aggregates['Exact']['speedup_reuse']:.2f}x reuse / "
-        f"{aggregates['Exact']['speedup_ggt']:.2f}x ggt, "
-        f"CoreExact {aggregates['CoreExact']['speedup_reuse']:.2f}x reuse / "
-        f"{aggregates['CoreExact']['speedup_ggt']:.2f}x ggt; "
+        "Flow-engine x clique-kernel ablation -- rebuild vs GGT "
+        f"(aggregate speedup: Exact {aggregates['Exact']['speedup_ggt']:.2f}x ggt, "
+        f"CoreExact {aggregates['CoreExact']['speedup_ggt']:.2f}x ggt; "
         f"Exact solves {aggregates['Exact']['solves_binary']} binary -> "
         f"{aggregates['Exact']['solves_ggt']} ggt{enum_line})",
     )
@@ -314,10 +299,10 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    # the engines' headlines: where the binary search actually runs
-    # (Exact always does), α-reuse is worth an integer factor, and the
-    # GGT walk needs a small fraction of the binary search's solves
-    assert aggregates["Exact"]["speedup_reuse"] >= 2.0
+    # the engines' headlines: against Exact's full-graph binary search
+    # the GGT walk is worth an integer factor, and it needs a small
+    # fraction of the binary search's solves
+    assert aggregates["Exact"]["speedup_ggt"] >= 2.0
     assert aggregates["Exact"]["solves_ggt"] * 2 < aggregates["Exact"]["solves_binary"]
     for row in rows:
         if row["algorithm"] == "Exact":

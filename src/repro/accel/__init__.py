@@ -10,7 +10,7 @@ instead of branching locally.  Three tiers, fastest first:
   is importable; the wrappers convert the engines' plain-list arc
   arrays to numpy arrays per call (O(E) each way, far below the solve
   work they bracket) and write residual capacities back, so the
-  surrounding machinery (warm starts, checkpoints, cut extraction)
+  surrounding machinery (warm starts, cut extraction)
   never sees an array type change.
 * **numpy** -- :mod:`repro.accel.vector`: the vectorised phases
   (Dinic's arc-parallel BFS) plus the pure loops for everything

@@ -1,8 +1,8 @@
 """``determinism``: the hazards bit-identical solving cannot survive.
 
-The cross-tier bit-identity suite (and the warm-start checkpoint
-machinery it certifies) assumes the solver paths are deterministic
-functions of their inputs.  Three syntactic hazards break that silently
+The cross-tier bit-identity suite (and the warm-start machinery it
+certifies) assumes the solver paths are deterministic functions of
+their inputs.  Three syntactic hazards break that silently
 and are flagged in the solver-path modules (``core/``, ``flow/``,
 ``cliques/``, ``extensions/``, plus ``accel/``):
 

@@ -129,12 +129,11 @@ def densest_subgraph(
         How the exact methods drive their max-flow solves.  ``"ggt"``
         (default) walks the min-cut breakpoints of one α-parametric
         arc-array network (Gallo–Grigoriadis–Tarjan style; no binary
-        search, a handful of warm solves); ``"reuse"`` runs the binary
-        search but re-solves one α-parametric network, rewriting only
-        the sink capacities per iteration; ``"rebuild"`` reconstructs
-        the network every iteration.  All three return bit-identical
-        vertex sets and densities; the peeling-based approximations
-        take no flow engine.
+        search, a handful of warm solves); ``"rebuild"`` runs the
+        paper's binary search and reconstructs the network every
+        iteration (the reference).  Both return bit-identical vertex
+        sets and densities; the peeling-based approximations take no
+        flow engine.
     strict:
         Validate the input up front (the default): a non-``Graph``
         raises ``TypeError``; an empty graph or a ``NaN`` vertex id
@@ -150,7 +149,10 @@ def densest_subgraph(
         ``strict`` additionally verifies the snapshot's content-hash
         key against ``graph`` (no solver work; the graph memoizes its
         fingerprint, so only the first check on an unmutated graph
-        hashes its vertices and edges).
+        hashes its vertices and edges).  ``strict=False`` skips that
+        key check, but with ``REPRO_CHECK`` on the served answer is
+        still rechecked against ``graph``: another graph's snapshot
+        then raises :class:`~repro.guard.sanitize.SanitizerError`.
 
     Notes
     -----

@@ -48,9 +48,9 @@ class _ComponentState:
     The clique material is a :meth:`~repro.cliques.index.CliqueIndex.subindex`
     of the call-level index -- row selection, never re-enumeration --
     rebuilt whenever CoreExact shrinks the component to a higher core.
-    With the parametric engines the α-parametric flow network is
-    likewise built once per shrink (straight from the instance rows)
-    and re-solved; ``"rebuild"`` reconstructs it per iteration.
+    With ``"ggt"`` the α-parametric flow network is likewise built once
+    per shrink (straight from the instance rows) and re-solved;
+    ``"rebuild"`` reconstructs it per iteration.
     """
 
     def __init__(
@@ -110,11 +110,6 @@ class _ComponentState:
         if self.h == 2:
             return self.graph.subgraph(vertices).num_edges / len(vertices)
         return self.index.density_within(vertices)
-
-    def checkpoint(self) -> None:
-        """Record the current flow as the warm-start base (new lower bound)."""
-        if self._net is not None:
-            self._net.checkpoint()
 
     def density(self) -> float:
         if self.graph.num_vertices == 0:
@@ -254,7 +249,6 @@ def solve_component_state(
         return {"cut": None, "rho": 0.0, "solves": solves,
                 "network_sizes": sizes, "final_low": low}
     candidate_local = probe
-    state.checkpoint()  # all later guesses exceed l: warm-start base
 
     # lines 10-19: binary search within the component.
     try:
@@ -278,7 +272,6 @@ def solve_component_state(
                     state = _core_shrink(state, alpha, core_of)
                 low = alpha
                 candidate_local = cut_vertices
-                state.checkpoint()
     except guard.BudgetExceeded as exc:
         # the search's last feasible cut is this component's incumbent
         exc.attach_incumbent(candidate_local, origin.density_of(candidate_local))
@@ -316,12 +309,9 @@ def core_exact_densest(
         α-parametric network per component (no binary search; a handful
         of warm solves, re-intersecting the component with the
         ⌈α⌉-core between Newton hops so networks shrink mid-search);
-        ``"reuse"`` builds one α-parametric network per component
-        (rebuilt on core shrinks) and re-solves it across the binary
-        search with warm-started flows; ``"rebuild"`` reconstructs the
-        network every iteration (the pre-parametric behaviour; both
-        kept for the flow-engine ablation bench).  All three return
-        bit-identical vertex sets and densities.
+        ``"rebuild"`` runs the paper's binary search and reconstructs
+        the network every iteration (the paper-faithful reference).
+        Both return bit-identical vertex sets and densities.
     index:
         Optional pre-built, unpeeled :class:`CliqueIndex` of ``graph``
         (the API layer builds one per call).  Built here when omitted

@@ -29,12 +29,10 @@ from ..graph.graph import Graph, Vertex
 #: Valid values for the ``flow_engine`` knob of the exact algorithms:
 #: ``"ggt"`` (the default) walks the min-cut breakpoints of one
 #: α-parametric network (discrete Newton; no binary search, a handful
-#: of warm solves); ``"reuse"`` runs the classical binary search but
-#: re-solves one α-parametric network, rewriting only the sink
-#: capacities; ``"rebuild"`` reconstructs a fresh network every
-#: iteration (the pre-parametric behaviour; both non-GGT engines are
-#: kept for the three-way ablation bench).
-FLOW_ENGINES = ("ggt", "reuse", "rebuild")
+#: of warm solves); ``"rebuild"`` runs the paper's binary search and
+#: reconstructs a fresh network every iteration (the paper-faithful
+#: reference, kept for differential tests and the ablation bench).
+FLOW_ENGINES = ("ggt", "rebuild")
 
 
 def check_flow_engine(flow_engine: str) -> None:
@@ -104,11 +102,10 @@ def exact_densest(
     flow_engine:
         ``"ggt"`` (default) replaces the binary search with a
         breakpoint walk on one α-parametric network (a handful of warm
-        max-flow solves); ``"reuse"`` solves every binary-search
-        iteration on one α-parametric network; ``"rebuild"``
-        reconstructs the network per iteration (pre-parametric
-        behaviour, for the ablation).  All three return bit-identical
-        vertex sets and densities.
+        max-flow solves); ``"rebuild"`` runs the binary search and
+        reconstructs the network per iteration (the paper-faithful
+        reference).  Both return bit-identical vertex sets and
+        densities.
     index:
         Optional pre-built, unpeeled :class:`CliqueIndex` of
         ``graph`` for this ``h`` (the API layer builds one per call and
@@ -153,14 +150,11 @@ def exact_densest(
     degraded: Optional[guard.BudgetExceeded] = None
     incumbent_source = "none"
     with obs.span("exact.flow", engine=flow_engine, h=h) as flow_sp:
-        net = None
-        if flow_engine in ("reuse", "ggt"):
+        if flow_engine == "ggt":
             if h == 2:
                 net = build_eds_parametric(graph)
             else:
                 net = build_cds_parametric(graph, h, index=index)
-
-        if flow_engine == "ggt":
             if h == 2:
                 density_of = lambda s: graph.subgraph(s).num_edges / len(s)
             else:
@@ -192,29 +186,23 @@ def exact_densest(
                 while high - low >= resolution:
                     iterations += 1
                     alpha = (low + high) / 2.0
-                    if net is not None:
-                        cut_vertices = net.solve(alpha)
-                        network_sizes.append(net.num_nodes)
+                    if h == 2:
+                        network = build_eds_network(graph, alpha)
                     else:
-                        if h == 2:
-                            network = build_eds_network(graph, alpha)
-                        else:
-                            network = build_cds_network(graph, h, alpha, index=index)
-                        budget = guard.ACTIVE
-                        if budget is not None:
-                            budget.tick_solve(network.num_arcs)
-                        network_sizes.append(network.num_nodes)
-                        dinic.max_flow(network)
-                        if guard.CHECK:
-                            sanitize.check_flow_network(network)
-                        cut_vertices = vertices_of_cut(network.min_cut_source_side())
+                        network = build_cds_network(graph, h, alpha, index=index)
+                    budget = guard.ACTIVE
+                    if budget is not None:
+                        budget.tick_solve(network.num_arcs)
+                    network_sizes.append(network.num_nodes)
+                    dinic.max_flow(network)
+                    if guard.CHECK:
+                        sanitize.check_flow_network(network)
+                    cut_vertices = vertices_of_cut(network.min_cut_source_side())
                     if not cut_vertices:
                         high = alpha
                     else:
                         low = alpha
                         best = cut_vertices
-                        if net is not None:
-                            net.checkpoint()
             except guard.BudgetExceeded as exc:
                 # degrade: the last feasible cut is a real subgraph whose
                 # density the search had already certified to be >= low

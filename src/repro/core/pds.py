@@ -73,7 +73,8 @@ def p_exact_densest(
     One flow node per pattern instance; arcs ``v -> ψ`` capacity 1 and
     ``ψ -> v`` capacity ``|V_Ψ| - 1``.  The default ``"ggt"`` engine
     walks the min-cut breakpoints of one α-parametric network; the
-    binary-search engines re-solve ("reuse") or rebuild ("rebuild") it.
+    ``"rebuild"`` reference runs the binary search on a fresh network
+    per guess.
     """
     check_flow_engine(flow_engine)
     n = graph.num_vertices
@@ -88,11 +89,8 @@ def p_exact_densest(
         for v in members:
             degrees[v] += 1
 
-    net = None
-    if flow_engine in ("reuse", "ggt"):
-        net = build_pds_parametric(graph, pattern.size, vertex_sets, degrees=degrees)
-
     if flow_engine == "ggt":
+        net = build_pds_parametric(graph, pattern.size, vertex_sets, degrees=degrees)
         density_of = lambda s: sum(1 for members in vertex_sets if members <= s) / len(s)
         cut, rho, solves = net.max_density(density_of, low=0.0)
         if cut:
@@ -116,21 +114,15 @@ def p_exact_densest(
     while high - low >= resolution:
         iterations += 1
         alpha = (low + high) / 2.0
-        if net is not None:
-            cut = net.solve(alpha)
-            network_sizes.append(net.num_nodes)
-        else:
-            network = build_pds_network(graph, pattern.size, alpha, vertex_sets, degrees=degrees)
-            network_sizes.append(network.num_nodes)
-            dinic.max_flow(network)
-            cut = vertices_of_cut(network.min_cut_source_side())
+        network = build_pds_network(graph, pattern.size, alpha, vertex_sets, degrees=degrees)
+        network_sizes.append(network.num_nodes)
+        dinic.max_flow(network)
+        cut = vertices_of_cut(network.min_cut_source_side())
         if not cut:
             high = alpha
         else:
             low = alpha
             best = cut
-            if net is not None:
-                net.checkpoint()
     if best is None:
         best = set(graph.vertices())
     return DensestSubgraphResult(
@@ -145,8 +137,9 @@ def p_exact_densest(
 class _PatternComponentState:
     """A component plus its pattern instances, rebuilt on each shrink.
 
-    With the parametric engines the grouped ``construct+`` network is
-    built once per shrink as an α-parametric network and re-solved.
+    With ``"ggt"`` the grouped ``construct+`` network is built once per
+    shrink as an α-parametric network and walked; ``"rebuild"``
+    reconstructs it per binary-search guess.
     """
 
     def __init__(
@@ -154,12 +147,9 @@ class _PatternComponentState:
         graph: Graph,
         pattern: Pattern,
         instances: Sequence[frozenset],
-        flow_engine: str = "ggt",
     ):
         self.graph = graph
         self.pattern = pattern
-        self.flow_engine = flow_engine
-        self._net = None
         self.network_nodes = 0  # node count of the last-solved network
         members = set(graph.vertices())
         self.vertex_sets = [s for s in instances if s <= members]
@@ -168,32 +158,15 @@ class _PatternComponentState:
             for v in s:
                 self.degrees[v] += 1
 
-    def build_network(self, alpha: float):
-        return build_pds_network_grouped(
+    def solve(self, alpha: float) -> set[Vertex]:
+        """Source-side cut vertex set of the min cut at guess ``alpha``
+        on a freshly built grouped network (the binary-search engine)."""
+        network = build_pds_network_grouped(
             self.graph, self.pattern.size, alpha, self.vertex_sets, degrees=self.degrees
         )
-
-    def solve(self, alpha: float) -> set[Vertex]:
-        """Source-side cut vertex set of the min cut at guess ``alpha``."""
-        if self.flow_engine == "rebuild":
-            network = self.build_network(alpha)
-            self.network_nodes = network.num_nodes
-            dinic.max_flow(network)
-            return vertices_of_cut(network.min_cut_source_side())
-        net = self._parametric()
-        self.network_nodes = net.num_nodes
-        return net.solve(alpha)
-
-    def _parametric(self):
-        if self._net is None:
-            self._net = build_pds_parametric(
-                self.graph,
-                self.pattern.size,
-                self.vertex_sets,
-                degrees=self.degrees,
-                grouped=True,
-            )
-        return self._net
+        self.network_nodes = network.num_nodes
+        dinic.max_flow(network)
+        return vertices_of_cut(network.min_cut_source_side())
 
     def density_of(self, vertices: set[Vertex]) -> float:
         """Exact pattern-density of a subset of this component's vertices."""
@@ -201,14 +174,11 @@ class _PatternComponentState:
 
     def solve_max_density(self, low: float):
         """GGT breakpoint walk from lower bound ``low``: (cut, ρ, solves)."""
-        net = self._parametric()
+        net = build_pds_parametric(
+            self.graph, self.pattern.size, self.vertex_sets, degrees=self.degrees, grouped=True
+        )
         self.network_nodes = net.num_nodes
         return net.max_density(self.density_of, low=low)
-
-    def checkpoint(self) -> None:
-        """Record the current flow as the warm-start base (new lower bound)."""
-        if self._net is not None:
-            self._net.checkpoint()
 
     def density(self) -> float:
         if self.graph.num_vertices == 0:
@@ -260,9 +230,7 @@ def core_p_exact_densest(
     components = [located.subgraph(cc) for cc in located.connected_components()]
 
     # Pruning2: per-component densities
-    comp_states = [
-        _PatternComponentState(c, pattern, vertex_sets, flow_engine) for c in components
-    ]
+    comp_states = [_PatternComponentState(c, pattern, vertex_sets) for c in components]
     rho2 = 0.0
     for state in comp_states:
         density = state.density()
@@ -277,7 +245,7 @@ def core_p_exact_densest(
         core_vertices = {v for v, c in decomposition.core.items() if c >= k_locate}
         located = graph.subgraph(core_vertices)
         comp_states = [
-            _PatternComponentState(located.subgraph(cc), pattern, vertex_sets, flow_engine)
+            _PatternComponentState(located.subgraph(cc), pattern, vertex_sets)
             for cc in located.connected_components()
         ]
 
@@ -298,9 +266,7 @@ def core_p_exact_densest(
         if low > k_locate:
             keep = {v for v in state.graph if decomposition.core.get(v, 0) >= math.ceil(low)}
             if len(keep) < state.num_vertices:
-                state = _PatternComponentState(
-                    state.graph.subgraph(keep), pattern, vertex_sets, flow_engine
-                )
+                state = _PatternComponentState(state.graph.subgraph(keep), pattern, vertex_sets)
         if state.num_vertices == 0:
             continue
 
@@ -326,7 +292,6 @@ def core_p_exact_densest(
         if not probe:
             continue
         candidate_local = probe
-        state.checkpoint()  # all later guesses exceed l: warm-start base
 
         while True:
             nc = state.num_vertices
@@ -346,11 +311,10 @@ def core_p_exact_densest(
                     }
                     if len(keep) < state.num_vertices:
                         state = _PatternComponentState(
-                            state.graph.subgraph(keep), pattern, vertex_sets, flow_engine
+                            state.graph.subgraph(keep), pattern, vertex_sets
                         )
                 low = alpha
                 candidate_local = cut
-                state.checkpoint()
 
         if candidate_local and (
             candidate is None or cached_density(candidate_local) > cached_density(candidate)

@@ -57,10 +57,9 @@ def query_densest(
     to the source side of every cut.  The default ``"ggt"`` engine
     replaces the binary search with the discrete-Newton breakpoint
     walk (each α guess is the exact density of the previous cut);
-    ``"reuse"`` keeps the binary search on one α-parametric anchored
-    network, rebuilt only when the anchored core shrinks, and
-    ``"rebuild"`` reconstructs it per iteration -- identical results,
-    the GGT walk in far fewer max-flow solves.
+    ``"rebuild"`` keeps the binary search and reconstructs the network
+    per iteration -- identical results, the GGT walk in far fewer
+    max-flow solves.
 
     Raises
     ------
@@ -94,7 +93,6 @@ def query_densest(
     high = float(domain.max_degree())
     resolution = 1.0 / (n * (n - 1)) if n > 1 else 0.5
     iterations = 0
-    net = None
 
     if flow_engine == "ggt":
         # Newton walk: the anchored min cut is never empty (anchors are
@@ -125,27 +123,17 @@ def query_densest(
     while high - low >= resolution:
         iterations += 1
         alpha = (low + high) / 2.0
-        if flow_engine == "reuse":
-            if net is None:
-                net = build_eds_parametric(domain, anchors=anchors)
-            cut = net.solve(alpha)
-        else:
-            network = build_eds_network(domain, alpha)
-            for q in anchors:
-                network.add_arc(SOURCE, ("v", q), float("inf"))
-            dinic.max_flow(network)
-            cut = vertices_of_cut(network.min_cut_source_side())
+        network = build_eds_network(domain, alpha)
+        for q in anchors:
+            network.add_arc(SOURCE, ("v", q), float("inf"))
+        dinic.max_flow(network)
+        cut = vertices_of_cut(network.min_cut_source_side())
         sub = domain.subgraph(cut)
         if sub.num_vertices and sub.edge_density() > alpha:
             low = alpha
             if sub.edge_density() > graph.subgraph(best).edge_density():
                 best = cut
-            if net is not None:
-                net.checkpoint()
-            shrunk = anchored_core(domain, anchors, math.ceil(low))
-            if shrunk.num_vertices < domain.num_vertices:
-                net = None  # topology changed: rebuild the parametric net
-            domain = shrunk
+            domain = anchored_core(domain, anchors, math.ceil(low))
         else:
             high = alpha
     sub = graph.subgraph(best)

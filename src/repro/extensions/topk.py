@@ -45,8 +45,8 @@ def top_k_densest(
         ``core_exact_densest`` for exact per-round optima.
     flow_engine:
         Forwarded to ``method`` when it accepts a ``flow_engine``
-        keyword (the exact flow-based algorithms accept ``"ggt"``,
-        ``"reuse"`` and ``"rebuild"``); ignored otherwise.
+        keyword (the exact flow-based algorithms accept ``"ggt"`` and
+        ``"rebuild"``); ignored otherwise.
 
     Returns
     -------

@@ -15,10 +15,6 @@ re-solve strategies, cheapest first:
 * **advance** -- the requested α is at least the α of the current
   residual state.  Capacities only grow, so the flow already in the
   network stays feasible; Dinic merely augments the difference.
-* **checkpoint restore** -- the caller recorded the residual state at
-  the best feasible lower bound (``checkpoint()``); any later guess of
-  the binary search exceeds that bound, so the network restores the
-  checkpointed max flow in one O(E) copy and advances from there.
 * **retreat** -- the requested α is below the α of the current residual
   state.  Sink capacities shrink, so the flow on some ``v → t`` arcs may
   exceed the new capacity; each such arc is clamped and the excess is
@@ -91,8 +87,6 @@ class ParametricNetwork:
         "_alpha",
         "_canceled",
         "_warm_hint",
-        "_checkpoint_alpha",
-        "_checkpoint_cap",
         "_min_coeff",
         "_coeff_by_arc",
     )
@@ -126,8 +120,6 @@ class ParametricNetwork:
         self._alpha: Optional[float] = None
         self._canceled = False
         self._warm_hint = False
-        self._checkpoint_alpha: Optional[float] = None
-        self._checkpoint_cap: Optional[list[float]] = None
         self._min_coeff = min(alpha_coeff, default=0.0)
         self._coeff_by_arc: Optional[dict[int, float]] = None
 
@@ -231,23 +223,11 @@ class ParametricNetwork:
         """
         return delta * self._min_coeff > 10.0 * EPS
 
-    def checkpoint(self) -> None:
-        """Record the current residual state as a warm-start base.
-
-        Call after a solve whose α became the binary search's new lower
-        bound: every later guess is ≥ that α, so every later solve can
-        restore this max flow instead of starting from zero.
-        """
-        if self._canceled:  # normalise direct set_alpha/max_flow usage
-            self._uncancel()
-        self._checkpoint_alpha = self._alpha
-        self._checkpoint_cap = list(self.cap)
-
     def solve(self, alpha: float, solver=None) -> set:
         """Max-flow at ``alpha``; return the source-side cut vertex set.
 
-        Picks the cheapest valid warm-start (advance > checkpoint >
-        retreat > cold reset), runs the solver (Dinic by default), and returns the
+        Picks the cheapest valid warm-start (advance > retreat > cold
+        reset), runs the solver (Dinic by default), and returns the
         graph vertices on the source side of the minimal min cut
         (excluding source/instance nodes) -- non-empty iff a subgraph
         with Ψ-density above ``alpha`` exists (Lemma 14).
@@ -285,16 +265,6 @@ class ParametricNetwork:
             and self._warm_step_ok(alpha - self._alpha)
         ):
             mode = "advance"
-            self._advance_alpha(alpha)
-        elif (
-            self._checkpoint_cap is not None
-            and self._checkpoint_alpha is not None
-            and alpha >= self._checkpoint_alpha
-            and self._warm_step_ok(alpha - self._checkpoint_alpha)
-        ):
-            mode = "checkpoint"
-            self.cap = list(self._checkpoint_cap)
-            self._alpha = self._checkpoint_alpha
             self._advance_alpha(alpha)
         elif (
             self._alpha is not None
@@ -404,9 +374,6 @@ class ParametricNetwork:
             solves += 1
             if not cut:
                 break
-            # no checkpoint: α never decreases in the walk, so the
-            # advance warm start always applies and a snapshot would
-            # be an O(E) copy that is provably never restored
             density = density_of(cut)
             if best is None or density > best_density:
                 best = cut

@@ -80,7 +80,7 @@ FLOW_SOLVE = "flow.solve"
 
 #: Span-event modes counted as warm in the flow rollup (everything the
 #: warm-start repertoire covers; ``"cold"`` is the set_alpha reset).
-WARM_MODES = ("noop", "advance", "checkpoint", "retreat")
+WARM_MODES = ("noop", "advance", "retreat")
 
 
 class Collector:

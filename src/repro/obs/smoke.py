@@ -2,7 +2,7 @@
 
 The ``make trace-smoke`` entry point (CI runs it too).  Solves a small
 but non-trivial workload -- Exact and CoreExact, edge and triangle
-densities, all three flow engines -- with tracing streamed to a JSONL
+densities, both flow engines -- with tracing streamed to a JSONL
 file, then validates every record against the schema in
 :mod:`repro.obs.validate` and prints the per-phase rollup.  Exits
 non-zero on any schema error, on a trace with no ``flow.solve``
@@ -46,7 +46,7 @@ def run(path: str) -> int:
     failures: list[str] = []
     for method in ("exact", "core-exact"):
         for h in (2, 3):
-            for engine in ("ggt", "reuse", "rebuild"):
+            for engine in ("ggt", "rebuild"):
                 result = api.densest_subgraph(
                     graph, h, method=method, flow_engine=engine
                 )

@@ -39,7 +39,7 @@ ENV_KEYS = (
     "python", "platform", "numpy", "numba", "numba_available", "active_tier",
     "kernel_tiers",
 )
-FLOW_MODES = ("noop", "advance", "checkpoint", "retreat", "cold")
+FLOW_MODES = ("noop", "advance", "retreat", "cold")
 SUMMARY_KEYS = ("env", "spans", "events", "counters", "flow", "serve")
 
 

@@ -7,7 +7,18 @@ import random
 import networkx as nx
 import pytest
 
+from repro import env, guard
 from repro.graph.graph import Graph
+
+
+@pytest.fixture(autouse=True)
+def _sanitizer_matches_env():
+    """Every test starts with the sanitizer armed iff ``REPRO_CHECK`` is
+    on, so no test can switch it off for the tests that follow."""
+    assert guard.CHECK == env.switch("REPRO_CHECK"), (
+        f"guard.CHECK is {guard.CHECK} but REPRO_CHECK is "
+        f"{env.switch('REPRO_CHECK')}: an earlier test leaked its setting"
+    )
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:

@@ -184,7 +184,7 @@ class TestSolverEquivalence:
             expected = None
             for use_numpy in KERNEL_MODES:
                 index = CliqueIndex(g, h, use_numpy=use_numpy)
-                for engine in ("ggt", "reuse"):
+                for engine in ("ggt", "rebuild"):
                     got = exact_densest(g, h, flow_engine=engine, index=index)
                     if expected is None:
                         expected = got
@@ -197,7 +197,7 @@ class TestSolverEquivalence:
             expected = None
             for use_numpy in KERNEL_MODES:
                 index = CliqueIndex(g, h, use_numpy=use_numpy)
-                for engine in ("ggt", "reuse", "rebuild"):
+                for engine in ("ggt", "rebuild"):
                     got = core_exact_densest(g, h, flow_engine=engine, index=index)
                     if expected is None:
                         expected = got

@@ -7,7 +7,7 @@ random graphs pins the contracts of that split:
 * the densest density of a disjoint union is the maximum over its
   parts, and Exact and CoreExact report it exactly (``==`` on floats);
 * the reported vertex set has exactly the reported density;
-* the three flow engines (``ggt`` / ``reuse`` / ``rebuild``) return
+* the two flow engines (``ggt`` / ``rebuild``) return
   identical vertex sets and densities;
 * the order in which the components are inserted does not change the
   density;
@@ -37,7 +37,7 @@ from repro.graph.graph import Graph
 
 REPO = Path(__file__).resolve().parent.parent
 
-ENGINES = ("ggt", "reuse", "rebuild")
+ENGINES = ("ggt", "rebuild")
 
 
 def _blobs(seed: int) -> list[list[tuple[int, int]]]:

@@ -1,4 +1,4 @@
-"""Tests for the array-backed flow engine and α-parametric reuse.
+"""Tests for the array-backed flow engine and α-parametric re-solves.
 
 Three layers of guarantees:
 
@@ -6,10 +6,10 @@ Three layers of guarantees:
   cut (the residual-reachability cut after any max flow is the unique
   minimal min cut, so exact solvers must return the same set);
 * a :class:`~repro.flow.parametric.ParametricNetwork` re-solved across a
-  binary search (warm starts, checkpoints, cancellation) returns the
-  same cuts as a freshly built legacy network at every α;
+  binary search (advance and retreat warm starts, cancellation) returns
+  the same cuts as a freshly built legacy network at every α;
 * the exact algorithms give bit-identical results under
-  ``flow_engine="reuse"`` and ``flow_engine="rebuild"``.
+  ``flow_engine="ggt"`` and ``flow_engine="rebuild"``.
 """
 
 import pytest
@@ -93,8 +93,6 @@ def _binary_search_cuts(graph, make_parametric, make_legacy, high):
     legacy = make_legacy(low)
     dinic.max_flow(legacy)
     assert cut == vertices_of_cut(legacy.min_cut_source_side())
-    if cut:
-        net.checkpoint()
     for _ in range(25):
         alpha = (low + high) / 2.0
         cut = net.solve(alpha)
@@ -103,7 +101,6 @@ def _binary_search_cuts(graph, make_parametric, make_legacy, high):
         assert cut == vertices_of_cut(legacy.min_cut_source_side())
         if cut:
             low = alpha
-            net.checkpoint()
         else:
             high = alpha
 
@@ -279,17 +276,14 @@ class TestBreakpointEngine:
 
 
 class TestFlowEngineBitIdentical:
-    """α-reuse must not change any flow-dependent result."""
+    """The GGT walk must not change any flow-dependent result of the
+    paper-faithful rebuild-per-guess binary search."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("h", [2, 3])
     def test_core_exact(self, seed, h):
         g = random_graph(26, 80, seed)
         rebuilt = core_exact_densest(g, h, flow_engine="rebuild")
-        reused = core_exact_densest(g, h, flow_engine="reuse")
-        assert reused.vertices == rebuilt.vertices
-        assert reused.density == rebuilt.density
-        assert reused.iterations == rebuilt.iterations
         ggt = core_exact_densest(g, h, flow_engine="ggt")
         assert ggt.vertices == rebuilt.vertices
         assert ggt.density == rebuilt.density
@@ -298,9 +292,6 @@ class TestFlowEngineBitIdentical:
     def test_exact(self, seed):
         g = random_graph(20, 55, seed + 50)
         rebuilt = exact_densest(g, 2, flow_engine="rebuild")
-        reused = exact_densest(g, 2, flow_engine="reuse")
-        assert reused.vertices == rebuilt.vertices
-        assert reused.density == rebuilt.density
         ggt = exact_densest(g, 2, flow_engine="ggt")
         assert ggt.vertices == rebuilt.vertices
         assert ggt.density == rebuilt.density
@@ -311,25 +302,22 @@ class TestFlowEngineBitIdentical:
         g = random_graph(16, 40, seed + 300)
         pattern = get_pattern("triangle")
         rebuilt = p_exact_densest(g, pattern, flow_engine="rebuild")
-        for engine in ("reuse", "ggt"):
-            result = p_exact_densest(g, pattern, flow_engine=engine)
-            assert result.vertices == rebuilt.vertices
-            assert result.density == rebuilt.density
+        result = p_exact_densest(g, pattern, flow_engine="ggt")
+        assert result.vertices == rebuilt.vertices
+        assert result.density == rebuilt.density
         core_rebuilt = core_p_exact_densest(g, pattern, flow_engine="rebuild")
-        for engine in ("reuse", "ggt"):
-            result = core_p_exact_densest(g, pattern, flow_engine=engine)
-            assert result.vertices == core_rebuilt.vertices
-            assert result.density == core_rebuilt.density
+        result = core_p_exact_densest(g, pattern, flow_engine="ggt")
+        assert result.vertices == core_rebuilt.vertices
+        assert result.density == core_rebuilt.density
 
     @pytest.mark.parametrize("seed", range(3))
     def test_query_variant(self, seed):
         g = random_graph(22, 60, seed + 400)
         anchors = [next(iter(g.vertices()))]
         rebuilt = query_densest(g, anchors, flow_engine="rebuild")
-        for engine in ("reuse", "ggt"):
-            result = query_densest(g, anchors, flow_engine=engine)
-            assert result.vertices == rebuilt.vertices
-            assert result.density == rebuilt.density
+        result = query_densest(g, anchors, flow_engine="ggt")
+        assert result.vertices == rebuilt.vertices
+        assert result.density == rebuilt.density
 
 
 class TestEngineKnob:
@@ -339,26 +327,45 @@ class TestEngineKnob:
         assert result.stats["flow_engine"] == "rebuild"
         result = densest_subgraph(g, 2, method="core-exact")
         assert result.stats["flow_engine"] == "ggt"  # the soaked-in default
-        result = densest_subgraph(g, 2, method="core-exact", flow_engine="reuse")
-        assert result.stats["flow_engine"] == "reuse"
 
-    def test_unknown_engine_rejected(self):
+    # every entry point that takes ``flow_engine``
+    ENTRY_POINTS = {
+        "core_exact": lambda g, e: core_exact_densest(g, 2, flow_engine=e),
+        "exact": lambda g, e: exact_densest(g, 2, flow_engine=e),
+        "p_exact": lambda g, e: p_exact_densest(
+            g, get_pattern("triangle"), flow_engine=e
+        ),
+        "core_p_exact": lambda g, e: core_p_exact_densest(
+            g, get_pattern("triangle"), flow_engine=e
+        ),
+        "query": lambda g, e: query_densest(g, [next(iter(g.vertices()))], flow_engine=e),
+        "topk": lambda g, e: top_k_densest(g, 2, method=core_exact_densest, flow_engine=e),
+        "api-exact": lambda g, e: densest_subgraph(g, 2, method="exact", flow_engine=e),
+        "api-core-exact": lambda g, e: densest_subgraph(
+            g, 2, method="core-exact", flow_engine=e
+        ),
+        "api-pattern": lambda g, e: densest_subgraph(
+            g, "diamond", method="exact", flow_engine=e
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("engine", ["bogus", "reuse"])
+    def test_unknown_engine_rejected(self, engine, entry):
         g = random_graph(10, 20, 1)
-        with pytest.raises(ValueError):
-            core_exact_densest(g, 2, flow_engine="bogus")
-        with pytest.raises(ValueError):
-            exact_densest(g, 2, flow_engine="bogus")
+        with pytest.raises(ValueError, match="unknown flow_engine"):
+            self.ENTRY_POINTS[entry](g, engine)
 
     def test_topk_threads_flow_engine(self):
         g = random_graph(18, 45, 5)
-        results = top_k_densest(g, 2, method=core_exact_densest, flow_engine="reuse")
+        results = top_k_densest(g, 2, method=core_exact_densest, flow_engine="rebuild")
         assert results
-        assert all(r.stats["flow_engine"] == "reuse" for r in results)
+        assert all(r.stats["flow_engine"] == "rebuild" for r in results)
 
     def test_topk_threads_ggt(self):
         g = random_graph(18, 45, 5)
         via_ggt = top_k_densest(g, 2, method=core_exact_densest, flow_engine="ggt")
-        via_reuse = top_k_densest(g, 2, method=core_exact_densest, flow_engine="reuse")
-        assert [r.vertices for r in via_ggt] == [r.vertices for r in via_reuse]
-        assert [r.density for r in via_ggt] == [r.density for r in via_reuse]
+        via_rebuild = top_k_densest(g, 2, method=core_exact_densest, flow_engine="rebuild")
+        assert [r.vertices for r in via_ggt] == [r.vertices for r in via_rebuild]
+        assert [r.density for r in via_ggt] == [r.density for r in via_rebuild]
         assert all(r.stats["flow_engine"] == "ggt" for r in via_ggt)

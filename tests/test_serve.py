@@ -223,7 +223,7 @@ def test_query_density_rejects_bad_alphas():
 # --- the api snapshot= gate -------------------------------------------
 
 
-def test_api_snapshot_gate_validates_requests():
+def test_api_snapshot_gate_validates_requests(monkeypatch):
     g = _graph(3)
     snap = Snapshot(g, 3)
     with pytest.raises(ValueError, match="h-clique"):
@@ -236,9 +236,19 @@ def test_api_snapshot_gate_validates_requests():
     with pytest.raises(ValueError, match="content hash"):
         api.densest_subgraph(other, 3, snapshot=snap)
     # strict=False is the documented escape hatch around the key check:
-    # the snapshot serves its own stored answer regardless of the graph
-    lax = api.densest_subgraph(other, 3, strict=False, snapshot=snap)
-    assert lax.vertices == snap.densest_subgraph().vertices
+    # the snapshot serves its own stored answer regardless of the graph,
+    # unless the sanitizer is armed, which rechecks that answer against
+    # the graph passed in and rejects it
+    stored = snap.densest_subgraph()
+    with monkeypatch.context() as m:
+        m.setattr(guard, "CHECK", True)
+        with pytest.raises(guard.SanitizerError, match="recomputed"):
+            api.densest_subgraph(other, 3, strict=False, snapshot=snap)
+    with monkeypatch.context() as m:
+        m.setattr(guard, "CHECK", False)
+        lax = api.densest_subgraph(other, 3, strict=False, snapshot=snap)
+    assert lax.vertices == stored.vertices
+    assert lax.density == stored.density
 
 
 # --- persistence: kill and reload -------------------------------------

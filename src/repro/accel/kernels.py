@@ -31,7 +31,6 @@ EPS = 1e-9
 #: Names of the jittable kernels, in registry order.
 KERNEL_NAMES = (
     "dinic_max_flow",
-    "push_relabel_max_flow",
     "ggt_retreat",
     "bucket_peel",
     "heap_peel",
@@ -125,123 +124,6 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
             arc = path[plen]
             u = head[arc ^ 1]
             it[u] += 1
-
-
-def push_relabel_max_flow(source, sink, head, cap, adj_start, adj_arcs):
-    """Highest-label + gap push-relabel; mirrors the pure tier exactly.
-
-    Returns ``(value, pushes, relabels)`` like the pure tier (telemetry
-    work counters, tier-identical).
-    """
-    n = adj_start.shape[0] - 1
-
-    finite_total = 0.0
-    for i in range(cap.shape[0]):
-        if not np.isinf(cap[i]):
-            finite_total += cap[i]
-    big = finite_total * 2.0 + 1.0
-    for i in range(cap.shape[0]):
-        if np.isinf(cap[i]):
-            cap[i] = big
-
-    max_h = 2 * n
-    height = np.zeros(n, np.int64)
-    excess = np.zeros(n, np.float64)
-    height[source] = n
-    count = np.zeros(max_h + 2, np.int64)
-    count[0] = n - 1
-    count[n] += 1
-
-    bucket = np.full(max_h + 2, -1, np.int64)
-    nxt = np.full(n, -1, np.int64)
-    queued = np.zeros(n, np.uint8)
-    highest = -1
-    cursor = adj_start[:n].copy()
-    pushes = 0
-    relabels = 0
-
-    for idx in range(adj_start[source], adj_start[source + 1]):
-        arc = adj_arcs[idx]
-        flow = cap[arc]
-        if flow > EPS:
-            v = head[arc]
-            cap[arc] = 0.0
-            cap[arc ^ 1] += flow
-            excess[v] += flow
-            if v != source and v != sink and queued[v] == 0:
-                queued[v] = 1
-                hv = height[v]
-                nxt[v] = bucket[hv]
-                bucket[hv] = v
-                if hv > highest:
-                    highest = hv
-
-    while highest >= 0:
-        u = bucket[highest]
-        if u < 0:
-            highest -= 1
-            continue
-        bucket[highest] = nxt[u]
-        queued[u] = 0
-        if excess[u] <= EPS:
-            continue
-        end = adj_start[u + 1]
-        while excess[u] > EPS:
-            if cursor[u] == end:
-                min_height = -1
-                for idx in range(adj_start[u], end):
-                    arc = adj_arcs[idx]
-                    if cap[arc] > EPS:
-                        hh = height[head[arc]]
-                        if min_height < 0 or hh < min_height:
-                            min_height = hh
-                if min_height < 0:
-                    break  # isolated excess; cannot happen on sane networks
-                old_h = height[u]
-                count[old_h] -= 1
-                height[u] = min_height + 1
-                count[min_height + 1] += 1
-                cursor[u] = adj_start[u]
-                relabels += 1
-                if count[old_h] == 0 and old_h < n:
-                    for v in range(n):
-                        hv = height[v]
-                        if old_h < hv < n and v != source:
-                            count[hv] -= 1
-                            height[v] = n + 1
-                            count[n + 1] += 1
-                            cursor[v] = adj_start[v]
-                    bucket[:] = -1
-                    queued[:] = 0
-                    highest = -1
-                    for v in range(n):
-                        if v != source and v != sink and v != u and excess[v] > EPS:
-                            queued[v] = 1
-                            hv = height[v]
-                            nxt[v] = bucket[hv]
-                            bucket[hv] = v
-                            if hv > highest:
-                                highest = hv
-                continue
-            arc = adj_arcs[cursor[u]]
-            v = head[arc]
-            if cap[arc] > EPS and height[u] == height[v] + 1:
-                delta = excess[u] if excess[u] < cap[arc] else cap[arc]
-                cap[arc] -= delta
-                cap[arc ^ 1] += delta
-                excess[u] -= delta
-                excess[v] += delta
-                pushes += 1
-                if v != source and v != sink and queued[v] == 0:
-                    queued[v] = 1
-                    hv = height[v]
-                    nxt[v] = bucket[hv]
-                    bucket[hv] = v
-                    if hv > highest:
-                        highest = hv
-            else:
-                cursor[u] += 1
-    return excess[sink], pushes, relabels
 
 
 def ggt_retreat(

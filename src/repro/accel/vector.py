@@ -3,9 +3,9 @@
 Only the kernels with a genuinely vectorisable phase live here; today
 that is Dinic's BFS level construction (one arc-parallel relaxation
 pass per level, which beats the scalar queue on the shallow, wide DSD
-networks).  The sequential loops -- blocking-flow DFS, push-relabel
-discharge, drains, peels -- have no useful numpy formulation, so the
-registry maps them to the pure tier when numba is unavailable.
+networks).  The sequential loops -- blocking-flow DFS, drains, peels --
+have no useful numpy formulation, so the registry maps them to the pure
+tier when numba is unavailable.
 
 The level arrays the vectorised BFS produces can label more nodes at
 the sink's depth than the early-stopping scalar BFS, but the

@@ -195,10 +195,6 @@ class CliqueIndex:
             )
         return self._np_rows
 
-    def degree_list(self) -> list[int]:
-        """Initial clique-degrees by internal id (do not mutate)."""
-        return self.base_degree
-
     def member_subsets(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Yield ``(member_id, ψ)`` for every (instance, member) pair.
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..cliques.enumeration import count_cliques
-from ..graph.graph import Graph, Vertex
+from ..graph.graph import Graph
 
 
 def edge_density(graph: Graph) -> float:
@@ -18,8 +16,3 @@ def clique_density(graph: Graph, h: int) -> float:
     if graph.num_vertices == 0:
         return 0.0
     return count_cliques(graph, h) / graph.num_vertices
-
-
-def subgraph_clique_density(graph: Graph, vertices: Iterable[Vertex], h: int) -> float:
-    """Clique-density of the subgraph of ``graph`` induced by ``vertices``."""
-    return clique_density(graph.subgraph(vertices), h)

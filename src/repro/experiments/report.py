@@ -30,7 +30,6 @@ ARTEFACT_ORDER = [
     "fig15_pds_exact",
     "fig16_pds_approx",
     "fig20_additional",
-    "ablation_solvers",
     "ablation_construct_plus",
     "ablation_coreapp_prefix",
     "ablation_csr",

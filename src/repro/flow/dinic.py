@@ -1,11 +1,13 @@
 """Dinic's max-flow algorithm (BFS level graph + iterative blocking flow).
 
-The default min-cut engine of the reproduction.  O(V^2 E) in general,
-much faster on the shallow, unit-ish networks that the DSD constructions
-produce (the paper's reference uses Gusfield's variant; any exact solver
-yields identical min cuts).  The blocking-flow DFS is iterative so deep
-level graphs (the Goldberg EDS network chains vertex nodes) cannot hit
-the interpreter recursion limit.
+The one max-flow solver of the reproduction: every exact algorithm's
+min cut comes from here.  O(V^2 E) in general, much faster on the
+shallow, unit-ish networks that the DSD constructions produce (the
+paper's reference uses Gusfield's variant; any exact solver yields
+identical min cuts, and the test suite checks Dinic against networkx's
+max flow as an independent oracle).  The blocking-flow DFS is iterative
+so deep level graphs (the Goldberg EDS network chains vertex nodes)
+cannot hit the interpreter recursion limit.
 
 The solver runs on the flat arc arrays exposed by
 ``network.flow_arrays()`` (both :class:`~repro.flow.network.FlowNetwork`
@@ -21,18 +23,7 @@ from __future__ import annotations
 
 from .. import accel
 
-__all__ = ["max_flow", "min_cut", "solve_stats"]
-
-
-def solve_stats() -> dict:
-    """Work counters of the most recent traced max-flow call.
-
-    A copy of :data:`repro.accel.last_solve` (kernel, tier, arcs,
-    bfs_passes, augments, bfs_mode, seconds).  Populated only while
-    tracing is enabled (``obs.enable()`` / ``REPRO_TRACE``); empty
-    otherwise.
-    """
-    return dict(accel.last_solve)
+__all__ = ["max_flow"]
 
 
 def max_flow(network) -> float:
@@ -54,9 +45,3 @@ def max_flow(network) -> float:
         source, sink, head, cap, adj_start, adj_arcs,
         warm=getattr(network, "_warm_hint", False),
     )
-
-
-def min_cut(network) -> tuple[float, set]:
-    """Max-flow value and the source-side node set of a minimum s-t cut."""
-    value = max_flow(network)
-    return value, network.min_cut_source_side()

@@ -4,12 +4,12 @@ A :class:`FlowNetwork` is a directed graph with float capacities, a
 distinguished source ``s`` and sink ``t``, stored as flat arc arrays
 with the usual paired reverse-arc layout so residual updates are O(1).
 Adjacency is a CSR index over the arc arrays (``adj_start`` offsets into
-``adj_arcs``), built lazily once arcs stop being added; the solvers in
-:mod:`repro.flow.dinic` and :mod:`repro.flow.push_relabel` run directly
-on these arrays via :meth:`FlowNetwork.flow_arrays`.
+``adj_arcs``), built lazily once arcs stop being added; the solver in
+:mod:`repro.flow.dinic` runs directly on these arrays via
+:meth:`FlowNetwork.flow_arrays`.
 
 Capacities may be ``float('inf')`` (the Ψ→v arcs of Algorithm 1).  The
-binary-search guesses ``α`` are reals, so all solvers work on floats
+binary-search guesses ``α`` are reals, so the solver works on floats
 with an explicit epsilon discipline; at the scale of this reproduction
 the accumulated error stays far below the ``1/(n(n-1))`` density
 resolution that terminates the search (Lemma 12).
@@ -17,7 +17,6 @@ resolution that terminates the search (Lemma 12).
 
 from __future__ import annotations
 
-import math
 from typing import Hashable
 
 from .. import env
@@ -201,8 +200,3 @@ class FlowNetwork:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FlowNetwork(nodes={self.num_nodes}, arcs={self.num_arcs})"
-
-
-def is_finite(x: float) -> bool:
-    """Whether a capacity is finite (infinite arcs never saturate)."""
-    return not math.isinf(x)

@@ -223,27 +223,30 @@ class ParametricNetwork:
         """
         return delta * self._min_coeff > 10.0 * EPS
 
-    def solve(self, alpha: float, solver=None) -> set:
+    def solve(self, alpha: float) -> set:
         """Max-flow at ``alpha``; return the source-side cut vertex set.
 
         Picks the cheapest valid warm-start (advance > retreat > cold
-        reset), runs the solver (Dinic by default), and returns the
-        graph vertices on the source side of the minimal min cut
-        (excluding source/instance nodes) -- non-empty iff a subgraph
-        with Ψ-density above ``alpha`` exists (Lemma 14).
+        reset), runs Dinic, and returns the graph vertices on the source
+        side of the minimal min cut (excluding source/instance nodes) --
+        non-empty iff a subgraph with Ψ-density above ``alpha`` exists
+        (Lemma 14).
         """
-        self._solve_residual(alpha, solver)
+        self._solve_residual(alpha)
         return self.cut_vertices()
 
-    def _solve_residual(self, alpha: float, solver=None) -> None:
-        """Warm-start to ``alpha`` and run the solver; no cut extraction.
+    def _solve_residual(self, alpha: float) -> None:
+        """Warm-start to ``alpha`` and run Dinic; no cut extraction.
+
+        The solve goes through the module attribute ``dinic.max_flow``
+        (not a bound import), so instrumentation that wraps that
+        attribute sees every parametric solve.
 
         When tracing is on (:data:`repro.obs.ENABLED`) each call emits
         one ``flow.solve`` event carrying α, the warm-start mode chosen
-        by the decision chain below, the engine, the active kernel tier,
-        the network size, the wall time, and the kernel work counters
-        (BFS passes / augments for Dinic, pushes / relabels for
-        push-relabel) read back from :data:`repro.accel.last_solve`.
+        by the decision chain below, the active kernel tier, the network
+        size, the wall time, and Dinic's work counters (BFS mode, BFS
+        passes, augments) read back from :data:`repro.accel.last_solve`.
 
         This is also the guard layer's checkpoint: an active
         :class:`repro.guard.Budget` is ticked *before* any warm-start
@@ -277,9 +280,9 @@ class ParametricNetwork:
             mode = "cold"
             self.set_alpha(alpha)
         self._warm_hint = mode != "cold"
-        if solver is None:
-            from . import dinic as solver  # late import avoids a cycle
-        solver.max_flow(self)
+        from . import dinic  # late import avoids a cycle
+
+        dinic.max_flow(self)
         if self._canceled:
             self._uncancel()
         if guard.CHECK:
@@ -289,7 +292,6 @@ class ParametricNetwork:
             fields = {
                 "alpha": alpha,
                 "mode": mode,
-                "engine": solver.__name__.rsplit(".", 1)[-1],
                 "tier": work.pop("tier", accel.TIER),
                 "nodes": self.num_nodes,
                 "arcs": self.num_arcs,
@@ -328,7 +330,7 @@ class ParametricNetwork:
         return a_term, b_term
 
     def max_density(
-        self, density_of, low: float = 0.0, solver=None
+        self, density_of, low: float = 0.0
     ) -> tuple[Optional[set], float, int]:
         """Optimal α and its minimal cut, no binary search (GGT/Newton walk).
 
@@ -350,8 +352,6 @@ class ParametricNetwork:
         low:
             Starting guess, a valid lower bound on the optimum (0 is
             always sound).
-        solver:
-            Max-flow solver module; Dinic by default.
 
         Returns
         -------
@@ -366,7 +366,7 @@ class ParametricNetwork:
         solves = 0
         while True:
             try:
-                cut = self.solve(alpha, solver)
+                cut = self.solve(alpha)
             except guard.BudgetExceeded as exc:
                 # hand the walk's incumbent to whoever degrades gracefully
                 exc.attach_incumbent(best, best_density)
@@ -384,7 +384,7 @@ class ParametricNetwork:
         return best, (best_density if best is not None else low), solves
 
     def solve_breakpoints(
-        self, alpha_lo: float, alpha_hi: float, solver=None, tol: float = 1e-9
+        self, alpha_lo: float, alpha_hi: float, tol: float = 1e-9
     ) -> list[tuple[float, set]]:
         """All breakpoints of the min-cut function on ``[alpha_lo, alpha_hi]``.
 
@@ -407,7 +407,7 @@ class ParametricNetwork:
         nv = len(labels)
 
         def probe(alpha: float) -> tuple[frozenset, tuple[float, float]]:
-            self._solve_residual(alpha, solver)
+            self._solve_residual(alpha)
             nodes = self.min_cut_source_side()
             return frozenset(nodes), self.cut_line(nodes)
 

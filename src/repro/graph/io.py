@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import TextIO, Union
 
 from .graph import Graph, Vertex
 
@@ -134,8 +134,3 @@ def _write_stream(graph: Graph, handle: TextIO) -> None:
     handle.write(f"# undirected simple graph: n={graph.num_vertices} m={graph.num_edges}\n")
     for u, v in graph.edges():
         handle.write(f"{u} {v}\n")
-
-
-def from_edges(edges: Iterable[tuple[Vertex, Vertex]]) -> Graph:
-    """Build a graph from an in-memory edge iterable (convenience alias)."""
-    return Graph(edges)

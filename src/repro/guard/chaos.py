@@ -34,7 +34,6 @@ from ..core.clique_core import clique_core_decomposition
 from ..core.core_exact import core_exact_densest
 from ..core.exact import exact_densest
 from ..core.peel import peel_densest
-from ..flow import push_relabel
 from ..flow.builders import build_eds_parametric
 from ..graph.graph import Graph
 from . import faults
@@ -73,11 +72,6 @@ def _drive_dinic(g: Graph):
     return (frozenset(r.vertices), r.density)
 
 
-def _drive_push_relabel(g: Graph):
-    net = build_eds_parametric(g)
-    return frozenset(net.solve(g.num_edges / (2.0 * g.num_vertices), push_relabel))
-
-
 def _drive_ggt_retreat(g: Graph):
     net = build_eds_parametric(g)
     hi = net.solve(2.0)
@@ -97,7 +91,6 @@ def _drive_heap_peel(g: Graph):
 
 DRIVERS = {
     "dinic": _drive_dinic,
-    "push_relabel": _drive_push_relabel,
     "ggt_retreat": _drive_ggt_retreat,
     "bucket_peel": _drive_bucket_peel,
     "heap_peel": _drive_heap_peel,

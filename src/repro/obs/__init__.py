@@ -1,11 +1,11 @@
 """Solver-wide tracing & metrics -- the observability layer.
 
-Every layer of this package (flow solvers, the accel kernel registry,
+Every layer of this package (the flow solver, the accel kernel registry,
 the clique index, the exact/approximate solvers, the public API)
 reports what it does through this module, so a single run yields a
 complete nested profile: which phases ran, how long each took, how many
 max-flow solves happened at which α, warm or cold, on which accel tier,
-with how many BFS/DFS or discharge passes.
+with how many BFS passes and augmenting paths.
 
 Three primitives, one collector:
 

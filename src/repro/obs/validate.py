@@ -68,13 +68,10 @@ EVENT_SCHEMAS: dict[str, dict[str, Field]] = {
         "tier": Field("str"),
         "nodes": Field("int"),
         "arcs": Field("int"),
-        "engine": Field("str", required=False),
         "seconds": Field("number", required=False, nonneg=True),
         "bfs_mode": Field("str", required=False),
         "bfs_passes": Field("int", required=False, nonneg=True),
         "augments": Field("int", required=False, nonneg=True),
-        "pushes": Field("int", required=False, nonneg=True),
-        "relabels": Field("int", required=False, nonneg=True),
     },
     # a cooperative budget expiring (guard/__init__.py)
     "guard.deadline": {

@@ -15,8 +15,6 @@ deduplication absorbs is a small constant.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
 from ..graph.graph import Graph, Vertex
 from .pattern import Pattern
 
@@ -142,10 +140,3 @@ def pattern_density(graph: Graph, pattern: Pattern) -> float:
     if graph.num_vertices == 0:
         return 0.0
     return count_pattern_instances(graph, pattern) / graph.num_vertices
-
-
-def instances_within(instances: Sequence[Instance], vertices: set) -> Iterator[Instance]:
-    """Filter instances whose vertex set lies entirely inside ``vertices``."""
-    for inst in instances:
-        if all(v in vertices for edge in inst for v in edge):
-            yield inst

@@ -29,7 +29,7 @@ from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
 from repro.core.peel import peel_densest
 from repro.extensions.size_constrained import densest_at_least, densest_at_most
-from repro.flow import dinic, push_relabel
+from repro.flow import dinic
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
 
 from .conftest import random_graph
@@ -111,7 +111,7 @@ class TestSelection:
         if HAS_NUMPY:
             assert tier == "numpy"
             assert kernels["dinic"] == "numpy"
-            assert kernels["push_relabel"] == "python"
+            assert kernels["ggt_retreat"] == "python"
         else:  # pragma: no cover - environment-specific
             assert tier == "python"
 
@@ -168,22 +168,31 @@ class TestFlowKernelBitIdentity:
             assert results[tier] == base, tier  # floats compared exactly
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_push_relabel_bit_identical_and_matches_dinic(self, seed):
-        accel.select_tier(TIERS[0])
-        ref_net = random_network(seed, n=12 + seed % 7, arcs=30 + seed)
-        dinic.max_flow(ref_net)
-        dinic_cut = ref_net.min_cut_source_side()
-        results = {}
+    def test_dinic_residual_is_a_max_flow_on_every_tier(self, seed):
+        """On every tier the residual left by Dinic encodes a feasible
+        flow (capacity bounds, paired reverse arcs, conservation at
+        every inner node) whose value is the one returned, and the sink
+        is cut off from the source."""
         for tier in TIERS:
             accel.select_tier(tier)
             net = random_network(seed, n=12 + seed % 7, arcs=30 + seed)
-            value = push_relabel.max_flow(net)
-            cut = net.min_cut_source_side()
-            assert cut == dinic_cut  # unique minimal min cut
-            results[tier] = (value, list(net.cap), cut)
-        base = results[TIERS[0]]
-        for tier in TIERS[1:]:
-            assert results[tier] == base, tier
+            original = net.snapshot()
+            value = dinic.max_flow(net)
+            excess = [0.0] * net.num_nodes
+            for arc in range(0, len(net.head), 2):
+                flow = original[arc] - net.cap[arc]
+                assert -1e-9 <= flow <= original[arc] + 1e-9, (tier, arc)
+                assert net.cap[arc ^ 1] == pytest.approx(original[arc ^ 1] + flow, abs=1e-9)
+                excess[net.head[arc ^ 1]] -= flow
+                excess[net.head[arc]] += flow
+            s, t = net.node_id("s"), net.node_id("t")
+            for node, amount in enumerate(excess):
+                if node not in (s, t):
+                    assert amount == pytest.approx(0.0, abs=1e-6), (tier, node)
+            assert -excess[s] == pytest.approx(value, abs=1e-6), tier
+            assert excess[t] == pytest.approx(value, abs=1e-6), tier
+            side = net.min_cut_source_side()
+            assert "s" in side and "t" not in side, tier
 
     @pytest.mark.skipif(accel.np is None, reason="vector tier needs numpy")
     @pytest.mark.parametrize("seed", range(12))

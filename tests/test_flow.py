@@ -1,9 +1,10 @@
-"""Tests for the max-flow solvers and network representation."""
+"""Tests for the max-flow solver and network representation."""
 
 import networkx as nx
 import pytest
+from networkx.algorithms.flow import edmonds_karp
 
-from repro.flow import dinic, push_relabel
+from repro.flow import dinic
 from repro.flow.network import FlowNetwork
 
 
@@ -35,7 +36,22 @@ def random_network(seed: int, n: int = 14, arcs: int = 45) -> FlowNetwork:
     return net
 
 
+def cut_capacity(net: FlowNetwork, capacities: list[float]) -> float:
+    """Capacity, under ``capacities``, of the arcs leaving the current
+    residual min cut's source side (call after a max-flow solve)."""
+    ids = {net.node_id(x) for x in net.min_cut_source_side()}
+    return sum(
+        capacities[arc]
+        for arc in range(0, len(net.head), 2)
+        if net.head[arc ^ 1] in ids and net.head[arc] not in ids
+    )
+
+
 def nx_max_flow(net: FlowNetwork) -> float:
+    """networkx's max-flow value for ``net``. Edmonds-Karp, because
+    networkx's default preflow-push can raise on float capacities (its
+    relabel finds no residual arc after rounding, depending on the
+    string hash seed)."""
     g = nx.DiGraph()
     cap: dict = {}
     for u_id in range(net.num_nodes):
@@ -47,7 +63,7 @@ def nx_max_flow(net: FlowNetwork) -> float:
         g.add_edge(u, v, capacity=c)
     if "t" not in g or "s" not in g:
         return 0.0
-    value, _ = nx.maximum_flow(g, "s", "t")
+    value, _ = nx.maximum_flow(g, "s", "t", flow_func=edmonds_karp)
     return value
 
 
@@ -112,21 +128,36 @@ class TestDinic:
         expected = nx_max_flow(random_network(seed))
         assert dinic.max_flow(net) == pytest.approx(expected, abs=1e-6)
 
-
-class TestPushRelabel:
-    def test_classic_example(self):
-        assert push_relabel.max_flow(build_classic()) == pytest.approx(23.0)
-
     @pytest.mark.parametrize("seed", range(8))
-    def test_agrees_with_dinic(self, seed):
-        a, b = random_network(seed), random_network(seed)
-        assert push_relabel.max_flow(a) == pytest.approx(dinic.max_flow(b), abs=1e-6)
+    def test_residual_admits_no_more_flow(self, seed):
+        """A solved residual is a max flow: a second solve pushes
+        nothing and keeps the cut, and re-solving from the original
+        capacities repeats the same floats."""
+        net = random_network(seed)
+        original = net.snapshot()
+        value = dinic.max_flow(net)
+        residual, cut = net.snapshot(), net.min_cut_source_side()
+        assert dinic.max_flow(net) == pytest.approx(0.0, abs=1e-9)
+        assert net.min_cut_source_side() == cut
+        net.reset(original)
+        assert dinic.max_flow(net) == value
+        assert net.snapshot() == residual
 
-    def test_infinite_capacity_clamped(self):
+    def test_classic_example_min_cut(self):
+        # CLRS's unique minimum cut: {s, v1, v2, v4} | {v3, t}, crossing
+        # v1->v3 (12), v4->v3 (7) and v4->t (4)
+        net = build_classic()
+        snapshot = net.snapshot()
+        assert dinic.max_flow(net) == pytest.approx(23.0)
+        assert net.min_cut_source_side() == {"s", "v1", "v2", "v4"}
+        assert cut_capacity(net, snapshot) == pytest.approx(23.0)
+
+    def test_infinite_capacity_bottleneck(self):
         net = FlowNetwork("s", "t")
         net.add_arc("s", "a", 4.0)
         net.add_arc("a", "t", float("inf"))
-        assert push_relabel.max_flow(net) == pytest.approx(4.0)
+        assert dinic.max_flow(net) == pytest.approx(4.0)
+        assert net.min_cut_source_side() == {"s"}
 
 
 class TestMinCut:
@@ -136,15 +167,7 @@ class TestMinCut:
             net = random_network(seed)
             snapshot = net.snapshot()
             value = dinic.max_flow(net)
-            source_side = net.min_cut_source_side()
-            ids = {net.node_id(x) for x in source_side}
-            cut_capacity = 0.0
-            for arc in range(0, len(net.head), 2):
-                tail = net.head[arc ^ 1]
-                head = net.head[arc]
-                if tail in ids and head not in ids:
-                    cut_capacity += snapshot[arc]
-            assert cut_capacity == pytest.approx(value, abs=1e-6)
+            assert cut_capacity(net, snapshot) == pytest.approx(value, abs=1e-6)
 
     def test_source_side_contains_source(self):
         net = build_classic()

@@ -359,7 +359,18 @@ class TestFailover:
     def test_kernel_chain_shape(self):
         accel.select_tier("numpy")
         assert accel.kernel_chain("dinic") == ("numpy", "python")
-        assert accel.kernel_chain("push_relabel") == ("python",)
+        assert accel.kernel_chain("ggt_retreat") == ("python",)
+
+    def test_every_fallible_kernel_has_a_chaos_driver(self):
+        # the numba tier (interpreted when numba is missing) gives every
+        # kernel its longest chain; a kernel that can fail over must be
+        # driven by the chaos smoke, or its failover goes unexercised
+        from repro.guard import chaos
+
+        accel.select_tier("numba")
+        fallible = {n for n in accel.KERNEL_NAMES if len(accel.kernel_chain(n)) > 1}
+        assert set(chaos.DRIVERS) == fallible
+        assert fallible == set(accel.KERNEL_NAMES) - {"ggt_advance"}
 
     def test_failover_is_bit_identical(self):
         g = random_graph(40, 170, seed=47)
